@@ -2,7 +2,7 @@
 
 Default: runs the headline pipelines over $GRAFT_SF_DIR (default
 /root/testdata/sf0.1) with ray.init(address="local",
-num_cpus=$RAY_GRAFT_CPUS or 32) and prints ONE JSON line:
+num_cpus=$RAY_GRAFT_CPUS or os.cpu_count()) and prints ONE JSON line:
   {"metric": ..., "value": <total sec>, "unit": "sec",
    "queries": {name: sec, ...}, "sf": ..., "num_cpus": N,
    "crawl": {"fetched": n, "urls_per_sec": r}}
@@ -105,7 +105,7 @@ def run_bench() -> dict:
     import ray
 
     _quiet_ray_data_logs()
-    num_cpus = int(os.environ.get("RAY_GRAFT_CPUS", "32"))
+    num_cpus = int(os.environ.get("RAY_GRAFT_CPUS") or os.cpu_count())
     sf_dir = os.environ.get("GRAFT_SF_DIR", "/root/testdata/sf0.1")
     n_nodes = int(os.environ.get("GRAFT_NODES", "0"))
     if n_nodes > 0 and not ray.is_initialized():

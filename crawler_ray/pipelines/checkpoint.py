@@ -18,7 +18,7 @@ pipelines.crawl:
       RUN_MANIFEST.json                end-of-run summary
 
 A round is durable iff its MANIFEST.json exists (written atomically last).
-Resume: replay every committed round's seen deltas into fresh shard actors
+Resume: replay every committed round's seen deltas into fresh seen shards
 (in round order — later statuses overwrite earlier ones, exactly the order
 the live run applied them), then restart the loop at the first uncommitted
 round with its already-written input frontier. Partially-written artifacts
@@ -50,7 +50,7 @@ def committed_rounds(run_dir: str) -> list[int]:
 
 
 def rebuild_shards(cfg: CrawlConfig, upto_round: int):
-    """Fresh shard actors restored from deltas of rounds [0, upto_round]."""
+    """Fresh seen shards restored from deltas of rounds [0, upto_round]."""
     shards = make_shards(cfg.n_seen_shards, cfg.seen_capacity_per_shard)
     for rnd in range(upto_round + 1):
         ddir = os.path.join(cfg.run_dir, f"round_{rnd:05d}", "seen_delta")
@@ -66,9 +66,9 @@ def rebuild_shards(cfg: CrawlConfig, upto_round: int):
 
 
 def run_with_recovery(cfg: CrawlConfig, max_round_retries: int = 2) -> CrawlSummary:
-    """Driver-level fault recovery: a lost seen-shard actor, fetch task or
+    """Driver-level fault recovery: a lost seen host actor, fetch task or
     node aborts only the round in flight. Catch the Ray-level failure,
-    rebuild FRESH shard actors from the last committed round's deltas
+    rebuild FRESH seen shards from the last committed round's deltas
     (``resume_crawl``), and continue — rounds are deterministic and
     commits are atomic (one-round deferred), so a retried round is
     byte-identical to an undisturbed one. With per-round commits this

@@ -105,7 +105,7 @@ class CrawlConfig:
     # shards and performs only LOCAL payload takes (stages/fetch.py)
     n_docs_groups: int = 32
     # TEST-ONLY fault injection: called as fault_hook(round, shards) at
-    # the top of every round so tests can kill a seen-shard actor
+    # the top of every round so tests can kill a seen host actor
     # mid-crawl and exercise checkpoint.run_with_recovery. Never set in
     # production paths.
     fault_hook: object | None = None
@@ -668,7 +668,7 @@ def _check_run_config(cfg) -> None:
                 "run_dir or restore the original settings"
             )
         return
-    tmp = path + ".tmp"
+    tmp = f"{path}.tmp.{os.getpid()}"
     with open(tmp, "w") as f:
         json.dump(fp, f)
     os.replace(tmp, path)
@@ -687,10 +687,11 @@ def _write_status(run_dir: str, state: str, rnd: int, frontier_rows: int,
         "fetched": summary.fetched,
         "cookies": len(summary.cookies),
     }
-    tmp = os.path.join(run_dir, "STATUS.json.tmp")
+    path = os.path.join(run_dir, "STATUS.json")
+    tmp = f"{path}.tmp.{os.getpid()}"
     with open(tmp, "w") as f:
         json.dump(s, f)
-    os.replace(tmp, os.path.join(run_dir, "STATUS.json"))
+    os.replace(tmp, path)
 
 
 def read_status(run_dir: str) -> dict | None:
@@ -712,10 +713,11 @@ def _commit_round(
         "cookies": dict(cookies),
         "complete": True,
     }
-    tmp = os.path.join(rdir, "MANIFEST.json.tmp")
+    path = os.path.join(rdir, "MANIFEST.json")
+    tmp = f"{path}.tmp.{os.getpid()}"
     with open(tmp, "w") as f:
         json.dump(manifest, f)
-    os.replace(tmp, os.path.join(rdir, "MANIFEST.json"))
+    os.replace(tmp, path)
 
 
 def _trim_round_docs(cfg: CrawlConfig, rnd: int, room: int) -> None:
@@ -788,10 +790,11 @@ def _write_run_manifest(cfg: CrawlConfig, summary: CrawlSummary) -> None:
             "n_seen_shards": cfg.n_seen_shards,
         },
     }
-    tmp = os.path.join(cfg.run_dir, "RUN_MANIFEST.json.tmp")
+    path = os.path.join(cfg.run_dir, "RUN_MANIFEST.json")
+    tmp = f"{path}.tmp.{os.getpid()}"
     with open(tmp, "w") as f:
         json.dump(m, f, indent=1)
-    os.replace(tmp, os.path.join(cfg.run_dir, "RUN_MANIFEST.json"))
+    os.replace(tmp, path)
 
 
 def read_crawled(run_dir: str):

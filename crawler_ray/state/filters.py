@@ -62,7 +62,9 @@ class CuckooFilter:
     16-bit fingerprints, displacement with a kick limit. Supports delete
     (needed if a shard ever retracts an in-progress entry). On insert
     overflow, ``degraded`` flips True and the caller should consult the
-    bloom fallback / exact set instead of trusting negatives."""
+    bloom fallback / exact set instead of trusting negatives. A degraded
+    filter is read-only: ``add_many`` returns at once, since every further
+    insert into a full table would only evict another fingerprint."""
 
     def __init__(self, capacity: int):
         n_buckets = 1
@@ -97,8 +99,9 @@ class CuckooFilter:
         displacement loop. The resulting table layout can differ from
         sequential insertion order, which is semantically irrelevant: the
         filter is a one-sided accelerator and every positive is confirmed
-        against the shard's exact dict."""
-        if keys.size == 0:
+        against the shard's exact dict. Stops at the moment the filter
+        degrades: the caller answers from the bloom from then on."""
+        if keys.size == 0 or self.degraded:
             return
         fps = self._fingerprint(keys)
         i1s = self._index1(keys)
@@ -121,6 +124,8 @@ class CuckooFilter:
                 pending = np.concatenate([pending[~free], cand[~placed]])
         for j in pending:  # both buckets full: displacement path
             self._add_one(int(i1s[j]), fps[j])
+            if self.degraded:
+                return
 
     def _add_one(self, i1: int, fp: np.uint16) -> None:
         i2 = int(self._alt_index(np.array([i1]), np.array([fp]))[0])

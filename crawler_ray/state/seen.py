@@ -2,25 +2,37 @@
 
 The reference keeps three STM containers (in-progress / completed / failed,
 /root/reference/src/Types.hs:34-36) mutated atomically by every worker
-(Crawl.hs:194-212). Distributed equivalent (SURVEY.md §2.4 T2): a pool of
-``SeenShard`` actors, shard = ``url_hash % num_shards``. Each shard fronts
-an exact dict with a cuckoo filter (bloom fallback once the cuckoo degrades)
-so the common negative — "never seen this URL" — is answered from the filter
-without touching the dict.
+(Crawl.hs:194-212). Distributed equivalent (SURVEY.md §2.4 T2): shard =
+``url_hash % num_shards``. Each shard fronts an exact dict with a cuckoo
+filter so the common negative — "never seen this URL" — is answered from
+the filter without touching the dict. Once the cuckoo degrades (a full
+table evicted a fingerprint) it is read-only and the bloom, which holds
+every key ever inserted, answers instead.
+
+The shards live in ``min(num_shards, cluster CPUs)`` host actors: host h
+owns shards i ≡ h (mod hosts). Ray starts at most one worker process per
+CPU at a time, so one actor per shard only queued process spawns (and
+held ~150 MB each); a host runs one call at a time, which keeps every
+shard's mailbox order. ``make_shards`` returns one ``SeenShard`` handle
+per shard with the actor-handle call surface.
 
 Round protocol (matches the oracle's mutation convention, oracle.py):
 - during a round's fetch phase the shards are READ-ONLY: the meta-refresh
   trap guard reads the per-shard ``snapshot_hashes`` arrays published to
   the object store at round start (``status_many`` remains the exact
-  string-keyed fallback / test surface);
-- at round end the driver first applies completions/failures
-  (``apply_terminal``), then candidate inserts (``check_and_insert``).
+  string-keyed fallback);
+- at round end ``combined_round`` applies terminal mutations
+  (``apply_mutations``), then candidate inserts (``check_and_insert``).
 
 Checkpointing: ``snapshot_delta`` returns rows added/changed since the last
-snapshot (per-round delta parquet, merged on resume via groupby-first).
+snapshot (per-round delta parquet, replayed in round order by ``restore``).
 """
 
 from __future__ import annotations
+
+import os
+from dataclasses import dataclass
+from typing import Any
 
 import numpy as np
 import pyarrow as pa
@@ -57,18 +69,15 @@ class SeenShardLocal:
 
     # -- internal -------------------------------------------------------
     def _maybe_in(self, hashes: np.ndarray) -> np.ndarray:
-        hit = self.cuckoo.contains_many(hashes)
-        if self.cuckoo.degraded:
-            hit |= self.bloom.contains_many(hashes)
-        return hit
+        if self.cuckoo.degraded:  # it may have lost keys; the bloom has all
+            return self.bloom.contains_many(hashes)
+        return self.cuckoo.contains_many(hashes)
 
-    def _remember(self, url: str, h: int, code: int) -> None:
-        prev = self.status.get(url)
-        self.status[url] = code
-        self._delta.append((url, code))
-        self._hset.add(int(h))
-        if prev is None:
-            arr = np.array([h], dtype=np.uint64)
+    def _add_to_filters(self, new_hashes: list) -> None:
+        """Filter membership is order-insensitive, so new keys go in as ONE
+        batch (a 1-element add_many per URL measured ~100us/row)."""
+        if new_hashes:
+            arr = np.asarray(new_hashes, dtype=np.uint64)
             self.cuckoo.add_many(arr)
             self.bloom.add_many(arr)
 
@@ -85,9 +94,7 @@ class SeenShardLocal:
         (host, seq, op_idx) order the caller sorted them into (oracle.py's
         convention; ADVICE r1). op 0 = UNCONDITIONAL delete (S.delete
         in-progress, Crawl.hs:173 — the oracle pops whatever status the URL
-        has); op COMPLETED/FAILED = set that status. Filter membership is
-        order-insensitive, so new keys batch into ONE add_many at the end
-        (a 1-element add_many per URL measured ~100us/row of actor time)."""
+        has); op COMPLETED/FAILED = set that status."""
         new_hashes = []
         for u, h, op in zip(urls, hashes, ops):
             if op == 0:
@@ -102,36 +109,11 @@ class SeenShardLocal:
                 self.status[u] = int(op)
                 self._delta.append((u, int(op)))
                 self._hset.add(int(h))
-        if new_hashes:
-            arr = np.asarray(new_hashes, dtype=np.uint64)
-            self.cuckoo.add_many(arr)
-            self.bloom.add_many(arr)
-
-    def apply_terminal(self, urls: list[str], hashes: np.ndarray, codes: list[int]) -> None:
-        """Completions/failures; completion overwrites in_progress
-        (S.insert into completed, Crawl.hs:174). The original frontier URL's
-        in-progress removal (Crawl.hs:173) is represented by the overwrite
-        when it is in the chain, or an explicit 'failed'/'completed' code."""
-        for u, h, c in zip(urls, hashes, codes):
-            self._remember(u, int(h), c)
-
-    def remove_in_progress(self, urls: list[str]) -> None:
-        """S.delete from in-progress (Crawl.hs:173) for frontier URLs whose
-        final chain did NOT include them (sub-fetch quirk): the URL becomes
-        unseen again and may be re-enqueued later."""
-        from ..urlkit import url_hash
-
-        for u in urls:
-            if self.status.get(u) == IN_PROGRESS:
-                del self.status[u]
-                self._delta.append((u, 0))
-                self._hset.discard(url_hash(u))
-                # filters may yield a false 'maybe'; the exact dict decides.
+        self._add_to_filters(new_hashes)
 
     def check_and_insert(self, urls: list[str], hashes: np.ndarray) -> list[bool]:
         """insertIfNotDone (Crawl.hs:194-201): True = newly inserted as
-        in_progress (enqueue to frontier); False = already done. Filter
-        inserts batched (see apply_mutations)."""
+        in_progress (enqueue to frontier); False = already done."""
         out = []
         new_hashes = []
         maybe = self._maybe_in(hashes.astype(np.uint64))
@@ -145,10 +127,7 @@ class SeenShardLocal:
                 self._delta.append((u, IN_PROGRESS))
                 self._hset.add(int(h))
                 out.append(True)
-        if new_hashes:
-            arr = np.asarray(new_hashes, dtype=np.uint64)
-            self.cuckoo.add_many(arr)
-            self.bloom.add_many(arr)
+        self._add_to_filters(new_hashes)
         return out
 
     # -- round-end combined phase (runs in-actor; see stages/fetch.py) --
@@ -186,26 +165,33 @@ class SeenShardLocal:
     def write_delta(self, dir_path: str) -> int:
         """Write this shard's since-last-snapshot delta parquet (checkpoint);
         the actor writes its own file so deltas never transit the driver."""
-        import os
-
         import pyarrow.parquet as pq
 
         t = self.snapshot_delta()
         path = os.path.join(dir_path, f"shard-{self.shard_id:05d}.parquet")
-        tmp = path + ".tmp"
+        tmp = f"{path}.tmp.{os.getpid()}"
         pq.write_table(t, tmp)
         os.replace(tmp, path)
         return t.num_rows
 
     def restore(self, table: pa.Table) -> None:
+        """Replay one delta table. A URL absent from ``status`` at its row
+        is new to the filters (hashed once, batched into one insert); a
+        present one is already in the filters and ``_hset``."""
         from ..urlkit import url_hash
 
+        new_hashes = []
         for u, c in zip(table["url"].to_pylist(), table["status"].to_pylist()):
             if c == 0:
                 if self.status.pop(u, None) is not None:
                     self._hset.discard(url_hash(u))
-            else:
-                self._remember(u, url_hash(u), int(c))
+                continue
+            if u not in self.status:
+                h = url_hash(u)
+                new_hashes.append(h)
+                self._hset.add(h)
+            self.status[u] = int(c)
+        self._add_to_filters(new_hashes)
         self._delta = []
 
     def snapshot_hashes(self) -> np.ndarray:
@@ -236,12 +222,52 @@ class SeenShardLocal:
         )
 
 
-# One Ray actor per shard; num_cpus=0 so shards don't reserve scheduling
-# slots away from the fetch pool (they do tiny bursts of work).
-SeenShard = ray.remote(num_cpus=0)(SeenShardLocal)
+# num_cpus=0 so hosts don't reserve scheduling slots away from the fetch
+# pool; max_concurrency=1 runs one call at a time, in submission order
+@ray.remote(num_cpus=0, max_concurrency=1)
+class SeenHost:
+    """The seen shards ``shard_ids`` in one process, addressed by id."""
+
+    def __init__(self, shard_ids: list[int], capacity: int):
+        self.shards = {i: SeenShardLocal(i, capacity) for i in shard_ids}
+
+    def call(self, shard_id: int, method: str, *args):
+        return getattr(self.shards[shard_id], method)(*args)
 
 
-def make_shards(num_shards: int, capacity_per_shard: int = 1 << 17):
-    return [
-        SeenShard.remote(i, capacity_per_shard) for i in range(num_shards)
+@dataclass(frozen=True)
+class _ShardMethod:
+    call: Any  # the host's ``call`` actor method, possibly with options
+    shard_id: int
+    name: str
+
+    def options(self, **kw) -> "_ShardMethod":
+        return _ShardMethod(self.call.options(**kw), self.shard_id, self.name)
+
+    def remote(self, *args):
+        return self.call.remote(self.shard_id, self.name, *args)
+
+
+class SeenShard:
+    """Picklable handle to one shard in its host actor (``self.host``):
+    ``shard.check_and_insert.remote(...)`` and
+    ``shard.combined_round.options(num_returns=k).remote(...)`` behave as on
+    an actor handle of a one-shard actor."""
+
+    def __init__(self, host, shard_id: int):
+        self.host = host
+        self.shard_id = shard_id
+
+    def __getattr__(self, name: str) -> _ShardMethod:
+        if name.startswith("_") or not callable(getattr(SeenShardLocal, name, None)):
+            raise AttributeError(name)
+        return _ShardMethod(self.host.call, self.shard_id, name)
+
+
+def make_shards(num_shards: int, capacity_per_shard: int = 1 << 17) -> list[SeenShard]:
+    n_hosts = max(1, min(num_shards, int(ray.cluster_resources().get("CPU", 1))))
+    hosts = [
+        SeenHost.remote(list(range(h, num_shards, n_hosts)), capacity_per_shard)
+        for h in range(n_hosts)
     ]
+    return [SeenShard(hosts[i % n_hosts], i) for i in range(num_shards)]

@@ -77,33 +77,34 @@ def test_cuckoo_degrades_not_corrupts():
     assert cf.degraded
 
 
-def test_seen_shard_round_protocol():
+def _urls_and_hashes(n, prefix="http://h.test/"):
     from crawler_ray.urlkit import url_hash
 
+    urls = [f"{prefix}{i}" for i in range(n)]
+    return urls, np.array([url_hash(u) for u in urls], dtype=np.uint64)
+
+
+def test_seen_shard_round_protocol():
     s = SeenShardLocal(0, capacity=1 << 12)
-    urls = [f"http://h.test/{i}" for i in range(100)]
-    hs = np.array([url_hash(u) for u in urls], dtype=np.uint64)
+    urls, hs = _urls_and_hashes(100)
     ok = s.check_and_insert(urls, hs)
     assert all(ok)
     ok2 = s.check_and_insert(urls, hs)
     assert not any(ok2)  # all already in-progress
     assert s.status_many(urls[:5], hs[:5]) == [IN_PROGRESS] * 5
-    s.apply_terminal(urls[:50], hs[:50], [COMPLETED] * 50)
+    s.apply_mutations(urls[:50], hs[:50], [COMPLETED] * 50)
     assert s.status_many(urls[:3], hs[:3]) == [COMPLETED] * 3
-    # release makes a URL insertable again (sub-fetch quirk path)
-    s.remove_in_progress(urls[60:61])
+    # a delete op makes a URL insertable again (sub-fetch quirk path)
+    s.apply_mutations(urls[60:61], hs[60:61], [0])
     assert s.status_many(urls[60:61], hs[60:61]) == [0]
     assert s.check_and_insert(urls[60:61], hs[60:61]) == [True]
 
 
 def test_seen_shard_delta_restore_roundtrip():
-    from crawler_ray.urlkit import url_hash
-
     a = SeenShardLocal(0)
-    urls = [f"http://h.test/{i}" for i in range(50)]
-    hs = np.array([url_hash(u) for u in urls], dtype=np.uint64)
+    urls, hs = _urls_and_hashes(50)
     a.check_and_insert(urls, hs)
-    a.apply_terminal(urls[:20], hs[:20], [COMPLETED] * 20)
+    a.apply_mutations(urls[:20], hs[:20], [COMPLETED] * 20)
     delta = a.snapshot_delta()
     b = SeenShardLocal(0)
     b.restore(delta.select(["url", "status"]))
@@ -113,12 +114,11 @@ def test_seen_shard_delta_restore_roundtrip():
 def test_snapshot_hashes_mirrors_status():
     """The guard snapshot (sorted url-hash array) must track the status
     dict through every mutation path: insert, terminal overwrite,
-    delete-op, in-progress release, and delta restore."""
+    delete-op, re-insert, and delta restore."""
     from crawler_ray.urlkit import url_hash
 
     s = SeenShardLocal(0, capacity=1 << 12)
-    urls = [f"http://h.test/{i}" for i in range(80)]
-    hs = np.array([url_hash(u) for u in urls], dtype=np.uint64)
+    urls, hs = _urls_and_hashes(80)
 
     def expect():
         want = np.sort(
@@ -130,15 +130,90 @@ def test_snapshot_hashes_mirrors_status():
 
     s.check_and_insert(urls, hs)
     expect()
-    s.apply_terminal(urls[:30], hs[:30], [COMPLETED] * 30)
+    s.apply_mutations(urls[:30], hs[:30], [COMPLETED] * 30)
     expect()  # overwrites add no duplicate hashes
     s.apply_mutations(urls[30:40], hs[30:40], [0] * 10)  # deletes
     expect()
-    s.remove_in_progress(urls[40:45])
+    s.check_and_insert(urls[35:45], hs[35:45])  # half re-inserts
     expect()
     b = SeenShardLocal(0)
     b.restore(s.snapshot_delta().select(["url", "status"]))
     assert np.array_equal(b.snapshot_hashes(), s.snapshot_hashes())
+
+
+def test_degraded_seen_shard_has_no_false_negatives():
+    """Filled to 3x its capacity, the cuckoo degrades and stops taking
+    inserts; the bloom answers from then on and must still know every URL
+    ever inserted, in whatever batches they arrived."""
+    cap = 1 << 10
+    s = SeenShardLocal(0, capacity=cap)
+    urls, hs = _urls_and_hashes(3 * cap)
+    for lo in range(0, len(urls), 500):  # degrades mid-batch, then stays
+        assert all(s.check_and_insert(urls[lo : lo + 500], hs[lo : lo + 500]))
+    assert s.cuckoo.degraded
+    assert not any(s.check_and_insert(urls, hs))
+    assert s.status_many(urls, hs) == [IN_PROGRESS] * len(urls)
+    table = s.cuckoo.table.copy()
+    s.check_and_insert(*_urls_and_hashes(100, "http://other.test/"))
+    assert np.array_equal(s.cuckoo.table, table)  # read-only once degraded
+
+
+def test_restore_matches_production_replay():
+    """``restore`` of delta tables that delete and re-add URLs leaves the
+    same status and guard snapshot as applying the same rows, in order,
+    through ``apply_mutations`` — and its filters miss no live URL."""
+    import pyarrow as pa
+
+    urls, hs = _urls_and_hashes(60)
+    rounds = [
+        [(u, IN_PROGRESS) for u in urls[:40]],
+        [(u, COMPLETED) for u in urls[:10]]
+        + [(u, 0) for u in urls[10:25]]
+        + [(urls[50], 0)]  # delete of a URL never seen
+        + [(u, IN_PROGRESS) for u in urls[40:60]],
+        [(u, IN_PROGRESS) for u in urls[15:20]]  # re-adds after delete
+        + [(u, 0) for u in urls[5:8]]
+        + [(u, 3) for u in urls[5:7]],  # deleted, then failed
+    ]
+    replay = SeenShardLocal(0, capacity=1 << 12)
+    restored = SeenShardLocal(0, capacity=1 << 12)
+    hash_of = dict(zip(urls, hs))
+    for rows in rounds:
+        ru = [u for u, _ in rows]
+        replay.apply_mutations(ru, np.array([hash_of[u] for u in ru]), [c for _, c in rows])
+        restored.restore(
+            pa.table({"url": pa.array(ru), "status": pa.array([c for _, c in rows], pa.int8())})
+        )
+    assert restored.status == replay.status
+    assert np.array_equal(restored.snapshot_hashes(), replay.snapshot_hashes())
+    live = list(restored.status)
+    assert not any(restored.check_and_insert(live, np.array([hash_of[u] for u in live])))
+
+
+def test_make_shards_packs_shards_into_cpu_hosts(ray_session):
+    """One handle per shard over min(shards, CPUs) host actors; host h
+    owns shards i = h (mod hosts), and a handle works inside a task."""
+    import ray
+
+    from crawler_ray.state.seen import make_shards
+
+    shards = make_shards(8, 1 << 10)
+    n_hosts = min(8, int(ray.cluster_resources()["CPU"]))
+    assert len(shards) == 8
+    assert len({s.host for s in shards}) == n_hosts == 4
+    assert all(s.host == shards[i % n_hosts].host for i, s in enumerate(shards))
+    urls, hs = _urls_and_hashes(64)
+    by_shard = [[i for i in range(64) if hs[i] % 8 == m] for m in range(8)]
+    ray.get([
+        shards[m].check_and_insert.remote([urls[i] for i in ix], hs[ix])
+        for m, ix in enumerate(by_shard)
+    ])
+
+    @ray.remote
+    def totals(handles):
+        return [c["total"] for c in ray.get([h.counts.remote() for h in handles])]
+
+    assert ray.get(totals.remote(shards)) == [len(ix) for ix in by_shard]
 
 
 def test_warc_entry_layout():
@@ -220,7 +295,7 @@ def test_actor_death_recovers_byte_identical(ray_session, tmp_path):
     def kill_once(rnd, shards):
         if rnd == 2 and not killed:
             killed.append(rnd)
-            ray.kill(shards[1], no_restart=True)
+            ray.kill(shards[1].host, no_restart=True)
 
     cfg_b = CrawlConfig(run_dir=str(tmp_path / "b"), fault_hook=kill_once, **base)
     summary = run_with_recovery(cfg_b)
