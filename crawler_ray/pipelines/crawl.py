@@ -5,25 +5,30 @@ Crawl.hs:92-185).
 Each round is two RAW-Ray-task fan-outs with file-partitioned exchange
 (SURVEY.md §3.2, re-planned in round 2 for minimal per-round fixed cost):
 
-    frontier_k/*.parquet  (written by round k-1's combined tasks, one
-        |                  file each, row-groups partitioned by host-hash
-        |                  fetch shard -> politeness, shuffle 1)
+    frontier_k/*.parquet  (written by round k-1's combined calls, one
+        |                  file each, rows sorted by host-hash fetch shard
+        |                  -> politeness, shuffle 1; one row group per
+        |                  frontier group of fetch shards)
         v  one fetch TASK per shard (per-host FIFO, sub-fetch chains,
         |  cookies snapshot in, docs/order/logs written in place)
     per-seen-shard Arrow meta tables via Ray multi-return (object-store
         |  exchange, shuffle 2 — no files; see stages/fetch.py)
-        v  one combined TASK per seen shard (canonical-order terminal
+        v  one combined call per seen shard (canonical-order terminal
         |  mutations, candidate dedup + insertIfNotDone, delta checkpoint)
     frontier_{k+1}/from_{m}.parquet + MANIFEST
+
+The frontier files are the only way frontier rows reach the next round,
+and they are also the resume lineage: round 0, a resume, an injection
+round and every later round read them the same way.
 
 Termination: empty next frontier (with no pending injected seeds), or
 stored-doc quota (Main.hs:61-68; quota fires when stored >= limit, matching
 oracle.py's `stored_total >= limit` break), or max_rounds.
 
-Scale discipline: both "shuffles" are explicit hash-partitioned file
-exchanges — the layout a 100 TB crawl needs for checkpoint lineage anyway —
-so a round has no Ray sort, no Ray Data executor spin-up (round 1's
-dominant fixed cost: two streaming-executor startups per round capped
+Scale discipline: both "shuffles" are explicit hash-partitioned exchanges
+(shuffle 1 through files — the layout a 100 TB crawl needs for checkpoint
+lineage anyway — shuffle 2 through the object store), so a round has no
+Ray sort, no Ray Data executor spin-up (round 1's dominant fixed cost: two streaming-executor startups per round capped
 scaling efficiency at 0.57; raw ray.remote fan-outs cut the per-round
 driver cost to task dispatch + two small ray.gets), and no actor-pool
 churn. The driver only ever sees per-shard counter rows and the (tiny)
@@ -68,8 +73,6 @@ from ..state.seen import make_shards
 from ..stages.fetch import (
     FRONTIER_SCHEMA,
     fetch_shard,
-    frontier_group_of,
-    n_frontier_groups,
     write_docs_group,
     write_frontier_shards,
 )
@@ -233,7 +236,7 @@ def _consume_injections(
         os.makedirs(ilog, exist_ok=True)
     for path in pending:
         dst = os.path.join(ilog, f"r{tag:05d}-{os.path.basename(path)}")
-        tmp = dst + ".tmp"
+        tmp = f"{dst}.tmp.{os.getpid()}"
         with open(path) as src, open(tmp, "w") as out:
             out.write(src.read())
         os.replace(tmp, dst)
@@ -333,7 +336,6 @@ def crawl(
             spec=cfg.spec,
             policy=pol,
             corpus_path=cfg.corpus_path,
-            seen_handles=shards,
             n_seen_shards=cfg.n_seen_shards,
             n_fetch_shards=cfg.n_fetch_shards,
             n_docs_groups=cfg.n_docs_groups,
@@ -346,11 +348,6 @@ def crawl(
         return ray.put(base)
 
     ctx_ref = _ctx_refs(policy)
-    # previous round's combined multi-returns: per seen shard, [stats_ref,
-    # frontier_tbl_ref(shard 0), ..., frontier_tbl_ref(shard S-1)]. The
-    # happy-path frontier exchange rides the object store; the parquet
-    # frontier files written alongside are resume lineage only.
-    prev_comb_rets: list | None = None
     # (rdir, rnd, stats, next_path, cookies, docs_refs) awaiting manifest
     pending_commit: tuple | None = None
 
@@ -396,10 +393,6 @@ def crawl(
             policy = new_policy
             ctx_ref = _ctx_refs(policy)
         frontier_rows += n_injected
-        if n_injected:
-            # injected rows exist only in the frontier files: fall back to
-            # the file path for this round so fetch tasks see them
-            prev_comb_rets = None
         if frontier_rows == 0:
             # injections yielded nothing new: drop the empty round dir
             shutil.rmtree(rdir, ignore_errors=True)
@@ -414,13 +407,11 @@ def crawl(
         G = cfg.n_docs_groups
         # BFS-drain rounds have tiny frontiers: fold shards into fewer
         # tasks (~400 URLs each) so a 50-URL round costs a handful of
-        # task dispatches, not n_fetch_shards x 2. A folded task receives
-        # the object-store frontier refs of EVERY shard in its group
-        # (round-3 change: the old file fallback made each folded round
-        # open n_shards x n_files frontier parquets — ~230 core-s per
-        # sf0.1 crawl, and a serial multi-second tail in the drain
-        # rounds). Grouping is a pure function of frontier_rows, so
-        # reruns and resumes regroup identically.
+        # task dispatches, not n_fetch_shards x 2. A folded task opens
+        # each frontier file once and reads only the row groups covering
+        # its shards (stages/fetch.py read_frontier_group). Grouping is a
+        # pure function of frontier_rows, so reruns and resumes regroup
+        # identically.
         # Upper cap 128: a 256-task round pays ~2.6 ms driver submission
         # and ~32 ms of multi-return object creation PER TASK (65 returns
         # x ~0.5 ms); folding big rounds 256 -> 128 tasks halves that
@@ -436,32 +427,6 @@ def crawl(
                 list(range(g, cfg.n_fetch_shards, n_groups))
                 for g in range(n_groups)
             ]
-        # frontier refs arrive as per-GROUP table-ref PACKS (stages/
-        # fetch.py n_frontier_groups): one ray.put per frontier group
-        # wrapping that group's table ref from every combined actor.
-        # Tasks sharing a frontier group reuse the identical pack object,
-        # so the driver serializes each group's n_seen_shards refs once
-        # per round instead of once per task. A heavily-folded task would
-        # still unwrap refs for many groups x n_seen_shards — past ~512
-        # their in-task resolution costs more than the (batched,
-        # one-open-per-file) lineage read.
-        max_gs = max(
-            len({frontier_group_of(s, cfg.n_fetch_shards) for s in grp})
-            for grp in task_shards
-        )
-        use_refs = (
-            prev_comb_rets is not None
-            and max_gs * cfg.n_seen_shards <= 512
-        )
-        if use_refs:
-            fpacks = [
-                ray.put([r[1 + g] for r in prev_comb_rets])
-                for g in range(n_frontier_groups(cfg.n_fetch_shards))
-            ]
-
-        def _task_packs(grp):
-            gs = sorted({frontier_group_of(s, cfg.n_fetch_shards) for s in grp})
-            return [fpacks[g] for g in gs]
         # round-start guard snapshots: each seen actor publishes its
         # sorted url-hash array to the object store. Actor-mailbox
         # ordering puts these after the previous round's combined_round,
@@ -479,7 +444,6 @@ def crawl(
             ).remote(
                 grp if len(grp) > 1 else grp[0],
                 ctx_ref, rnd, frontier_path, csnap, snap_pack,
-                _task_packs(grp) if use_refs else None,
             )
             for grp in task_shards
         ]
@@ -501,11 +465,10 @@ def crawl(
         #     barrier (no combined call can start before every fetch task
         #     finished, so the seen set stays frozen during the fetch
         #     phase), and the driver's stats processing below overlaps
-        #     with combined execution instead of gating it.
+        #     with combined execution instead of gating it. Each call
+        #     writes its survivors to next_path and returns its stats.
         comb_rets = [
-            shards[m].combined_round.options(
-                num_returns=1 + n_frontier_groups(cfg.n_fetch_shards)
-            ).remote(
+            shards[m].combined_round.remote(
                 cfg.n_fetch_shards, cfg.run_dir, rnd, next_path,
                 *[r[1 + G + m] for r in fetch_rets],
             )
@@ -539,9 +502,8 @@ def crawl(
         ):
             summary.cookies[name] = val
 
-        stats2 = ray.get([r[0] for r in comb_rets])
+        stats2 = ray.get(comb_rets)
         frontier_rows = sum(r["n_new"] for r in stats2)
-        prev_comb_rets = comb_rets
         _t_combined = _time.time() - _t_round - _t_fetch
 
         stored_this_round = summary.stored - stored_before
@@ -588,16 +550,7 @@ def crawl(
         # manifest one round keeps resume exact while letting payload
         # writes overlap execution
         if pending_commit is not None:
-            p_rdir, p_rnd, p_stats, p_next, p_cookies, p_docs = pending_commit
-            dstats = ray.get(p_docs)
-            p_stats["docs_spans"] = [
-                (round(d["t0"], 3), round(d["t1"], 3)) for d in dstats
-            ]
-            p_stats["docs_phases"] = {
-                k: round(sum(d.get(k, 0.0) for d in dstats), 2)
-                for k in ("t_take", "t_verify", "t_render", "t_write")
-            }
-            _commit_round(p_rdir, p_rnd, p_stats, p_next, p_cookies)
+            _commit_after_docs(*pending_commit)
         pending_commit = (
             rdir, rnd, stats, next_path, dict(summary.cookies), docs_refs
         )
@@ -609,16 +562,7 @@ def crawl(
             break
 
     if pending_commit is not None:
-        p_rdir, p_rnd, p_stats, p_next, p_cookies, p_docs = pending_commit
-        dstats = ray.get(p_docs)
-        p_stats["docs_spans"] = [
-            (round(d["t0"], 3), round(d["t1"], 3)) for d in dstats
-        ]
-        p_stats["docs_phases"] = {
-            k: round(sum(d.get(k, 0.0) for d in dstats), 2)
-            for k in ("t_take", "t_verify", "t_render", "t_write")
-        }
-        _commit_round(p_rdir, p_rnd, p_stats, p_next, p_cookies)
+        _commit_after_docs(*pending_commit)
 
     if not summary.halted:
         # a stop dropped while the final round was in flight was never
@@ -720,6 +664,23 @@ def _commit_round(
     os.replace(tmp, path)
 
 
+def _commit_after_docs(
+    rdir: str, rnd: int, stats: dict, next_frontier_path: str, cookies: dict,
+    docs_refs: list,
+) -> None:
+    """Deferred commit of a round: wait for its docs tasks, add their
+    spans and phases to the round's stats, then write its manifest."""
+    dstats = ray.get(docs_refs)
+    stats["docs_spans"] = [
+        (round(d["t0"], 3), round(d["t1"], 3)) for d in dstats
+    ]
+    stats["docs_phases"] = {
+        k: round(sum(d.get(k, 0.0) for d in dstats), 2)
+        for k in ("t_take", "t_verify", "t_render", "t_write")
+    }
+    _commit_round(rdir, rnd, stats, next_frontier_path, cookies)
+
+
 def _trim_round_docs(cfg: CrawlConfig, rnd: int, room: int) -> None:
     """Quota cut: keep the canonical-order (host, seq) prefix of this
     round's stored docs (deterministic version of Crawl.hs:181-183).
@@ -766,7 +727,7 @@ def _trim_round_docs(cfg: CrawlConfig, rnd: int, room: int) -> None:
             continue
         t = pq.read_table(f)
         t = t.take(pa.array(np.flatnonzero(mask), pa.int64()))
-        tmp = f + ".tmp"
+        tmp = f"{f}.tmp.{os.getpid()}"
         pq.write_table(t, tmp)
         os.replace(tmp, f)
 

@@ -14,11 +14,13 @@ concurrency cap 1 is its only budget).
 Data exchange, round-2 layout (re-planned after measuring round 1):
 
 - frontier (combined -> next round's fetch; ALSO the resume lineage):
-  ONE parquet file per combined task, row-group-aligned on a ``shard``
-  column — fetch task ``s`` prunes to its rows via row-group statistics.
-  The round-1 layout (one file per (fetch shard, seen shard) pair, ~8k
-  tiny ext4 creates+renames per round) cost more core-seconds than the
-  crawl's real work and caused journal-flush stalls.
+  ONE parquet file per combined call with a ``shard`` column and one row
+  group per frontier group of fetch shards (at most 32). It is the only
+  frontier exchange: fetch task ``s`` reads just the row groups whose
+  footer statistics cover its shards. The round-1 layout (one file per
+  (fetch shard, seen shard) pair, ~8k tiny ext4 creates+renames per
+  round) cost more core-seconds than the crawl's real work and caused
+  journal-flush stalls.
 - meta (fetch -> combined, intra-round only): Arrow tables through the
   OBJECT STORE — fetch task ``s`` multi-returns (stats, docs_g0 ..
   docs_g{G-1}, meta_ss0 .. meta_ss{M-1}) with
@@ -72,6 +74,7 @@ import time
 
 import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
 import pyarrow.parquet as pq
 import ray
 
@@ -124,7 +127,7 @@ def _corpus(path: str):
 
 
 def _atomic_write(path: str, table: pa.Table) -> None:
-    tmp = path + ".tmp"
+    tmp = f"{path}.tmp.{os.getpid()}"
     pq.write_table(table, tmp)
     os.replace(tmp, path)
 
@@ -159,24 +162,17 @@ def _shard_sorted(
 
 
 def n_frontier_groups(n_fetch_shards: int) -> int:
-    """Frontier-exchange group count: every Ray multi-return costs ~0.5 ms
-    of object-store create/bookkeeping, so combined actors return one
-    table per GROUP of fetch shards (with an explicit ``shard`` column for
-    the consumer-side filter) instead of one per shard — 257 returns per
-    combined call measured ~1 s of wall per drain round at 32 actors."""
+    """Row groups per frontier lineage file: consecutive fetch shards share
+    a group once there are more than 32, so a file has at most 32 row
+    groups however many fetch shards a round has."""
     return min(32, n_fetch_shards)
-
-
-def frontier_group_of(shard: int, n_fetch_shards: int) -> int:
-    gsize = -(-n_fetch_shards // n_frontier_groups(n_fetch_shards))
-    return shard // gsize
 
 
 def partition_frontier_groups(
     table: pa.Table, n_fetch_shards: int
 ) -> list[pa.Table]:
-    """One table per frontier GROUP, rows carrying their exact ``shard``
-    as a column (consumers filter; see n_frontier_groups)."""
+    """One table per frontier GROUP of consecutive fetch shards, sorted by
+    shard, rows carrying their exact ``shard`` as a column."""
     taken, sorted_shard, bounds = _shard_sorted(table, n_fetch_shards)
     taken = taken.append_column("shard", pa.array(sorted_shard, pa.int32()))
     ng = n_frontier_groups(n_fetch_shards)
@@ -193,46 +189,54 @@ def write_frontier_shards(
     table: pa.Table, frontier_dir: str, n_fetch_shards: int, origin: str
 ) -> None:
     """Partition frontier rows by host-hash fetch shard (the explicit
-    'shuffle 1') into ONE file per writer, row-group-aligned per shard.
+    'shuffle 1') into ONE file per writer with a ``shard`` column and one
+    parquet row group per non-empty frontier group (at <= 32 fetch shards,
+    one per shard). This file is the only way frontier rows reach the next
+    round's fetch tasks, and it is also the resume lineage.
 
-    Round-2 layout change: one file per (origin) with a ``shard`` column
-    and one parquet row group per shard, instead of one file per (shard,
-    origin) pair — measured at sandbox scale, the old layout's
-    n_fetch_shards x n_seen_shards tiny files per round (~8k creates +
-    renames on ext4) cost more core-seconds than the crawl's real work and
-    triggered journal-flush stalls. Fetch task ``s`` prunes to its rows
-    via row-group statistics (filters=[('shard','=',s)])."""
+    Round-2 layout change: one file per origin instead of one per (shard,
+    origin) pair — the old layout's n_fetch_shards x n_seen_shards tiny
+    files per round (~8k creates + renames on ext4) cost more core-seconds
+    than the crawl's real work and triggered journal-flush stalls."""
     os.makedirs(frontier_dir, exist_ok=True)
-    taken, sorted_shard, bounds = _shard_sorted(table, n_fetch_shards)
-    taken = taken.append_column("shard", pa.array(sorted_shard, pa.int32()))
+    groups = partition_frontier_groups(table, n_fetch_shards)
     path = os.path.join(frontier_dir, f"{origin}.parquet")
-    tmp = path + ".tmp"
-    writer = pq.ParquetWriter(tmp, taken.schema)
-    for s in range(n_fetch_shards):
-        n = bounds[s + 1] - bounds[s]
-        if n:  # one row group per shard -> stat pruning
-            writer.write_table(taken.slice(bounds[s], n))
+    tmp = f"{path}.tmp.{os.getpid()}"
+    writer = pq.ParquetWriter(tmp, groups[0].schema)
+    for g in groups:
+        if g.num_rows:
+            writer.write_table(g)
     writer.close()
     os.replace(tmp, path)
 
 
-def read_frontier_shard(frontier_dir: str, shard: int) -> pa.Table | None:
-    """Rows of one fetch shard across all frontier files (row-group
-    pruned via the shard column's statistics)."""
-    return read_frontier_group(frontier_dir, [shard])
-
-
 def read_frontier_group(frontier_dir: str, shards) -> pa.Table | None:
-    """Rows of a GROUP of fetch shards across all frontier files — each
-    file is opened ONCE with a row-group-pruned ``shard in (...)`` filter
-    (a folded drain round's task used to open every file once PER shard:
-    n_shards x n_files reads per round cost more than the round's fetch
-    work, VERDICT r2 scaling audit)."""
+    """Rows of a GROUP of fetch shards across all frontier files. Each file
+    is opened ONCE; only the row groups whose ``shard`` min/max in the
+    footer statistics covers a requested shard are read, then filtered to
+    the requested shards. A row group without statistics is read and
+    filtered, never skipped, and files in the older one-row-group-per-shard
+    layout read the same way. (A dataset scan with a ``shard in (...)``
+    filter cost ~15 ms per file, more than a drain round's fetch work.)"""
     files = sorted(glob.glob(os.path.join(frontier_dir, "*.parquet")))
-    shard_list = list(shards)
+    want = np.unique(np.asarray(list(shards), dtype=np.int64))
+    value_set = pa.array(want, pa.int32())
     parts = []
     for f in files:
-        t = pq.read_table(f, filters=[("shard", "in", shard_list)])
+        with pq.ParquetFile(f) as pf:
+            col = pf.schema_arrow.get_field_index("shard")
+            picked = []
+            for i in range(pf.metadata.num_row_groups):
+                st = pf.metadata.row_group(i).column(col).statistics
+                if st is not None and st.has_min_max:
+                    j = np.searchsorted(want, st.min)
+                    if j == len(want) or want[j] > st.max:
+                        continue
+                picked.append(i)
+            if not picked:
+                continue
+            t = pf.read_row_groups(picked)
+        t = t.filter(pc.is_in(t["shard"], value_set=value_set))
         if t.num_rows:
             parts.append(t.drop_columns(["shard"]))
     if not parts:
@@ -247,7 +251,6 @@ def fetch_shard(
     frontier_dir: str,
     cookies: tuple,
     snap_refs,
-    frontier_packs=None,
 ) -> dict:
     """Process one GROUP of fetch shards' frontier rows (raw Ray task
     body). ``shards_of_task`` is an int (one shard — the usual case) or a
@@ -259,23 +262,17 @@ def fetch_shard(
     the group's lead shard.
 
     ``ctx`` is the crawl-constant context (spec, policy, corpus_path,
-    seen_handles, shard counts, run_dir, flags) put to the object store
-    ONCE per crawl and shared by every task of every round. ``cookies`` is
-    the round-start cookie snapshot (Crawl.hs:106). ``snap_refs`` is one
+    shard counts, run_dir, flags) put to the object store ONCE per crawl
+    and shared by every task of every round. ``cookies`` is the
+    round-start cookie snapshot (Crawl.hs:106). ``snap_refs`` is one
     ray.put ObjectRef wrapping the list of per-seen-shard round-start
     guard-snapshot refs (sorted url-hash arrays; see ``is_done`` below),
     resolved only if the task's meta-refresh guards actually query it.
 
-    ``frontier_packs``, when given, carry THIS task's frontier rows: one
-    pack ObjectRef per frontier group the task's shards map to, each pack
-    holding the group's table refs from every previous-round
-    combined_round actor call, zero-copy through the object store. Tasks
-    in the same frontier group share the identical pack object, so the
-    driver serializes each group's 32 table refs once per round (one
-    ray.put) instead of once per task (~1 ms/task of driver-serial
-    submission). When absent (round 0 after seeding, or the first round
-    of a resume), the shard's rows are read from the frontier_dir
-    lineage files instead.
+    The task's frontier rows are read from the ``frontier_dir`` lineage
+    files the previous round's combined calls (or seeding, injection or a
+    resume) wrote: each file is opened once and only the row groups that
+    cover the task's shards are read (``read_frontier_group``).
 
     Returns a (1 + n_docs_groups + n_seen_shards)-tuple for Ray
     multi-return: a stats dict {shard, n_proc, n_docs, shared_cookies,
@@ -287,7 +284,7 @@ def fetch_shard(
     granularity matters: a consumer deserializes only its own slice,
     never the whole exchange. The exchanges travel through the OBJECT
     STORE — intra-round intermediate state, not checkpoint lineage
-    (resume reruns the round from the frontier files); as files they cost
+    (resume reruns the round from its frontier files); as files they cost
     more than the crawl's real work.
     """
     _t_task = time.time()
@@ -297,7 +294,6 @@ def fetch_shard(
     shard = shards[0]  # group lead: names this task's partition files
     spec = ctx["spec"]
     policy = ctx["policy"]
-    seen_handles = ctx["seen_handles"]
     n_seen_shards = ctx["n_seen_shards"]
     run_dir = ctx["run_dir"]
     politeness_delay = ctx["politeness_delay"]
@@ -379,59 +375,28 @@ def fetch_shard(
     # stalls whenever deferred docs/delta work kept an actor's mailbox
     # busy). ``snap_refs`` is ONE ray.put ref wrapping the per-shard
     # snapshot refs (driver serializes the list once per round, not once
-    # per task); absent (None) falls back to blocking status_many calls.
-    snap_cache: dict[int, np.ndarray] = {}
+    # per task).
+    snap_cache: list[np.ndarray] = []
     guard_wait = [0.0, 0]  # accumulated blocking time, call count
 
     def is_done(url: str) -> bool:
         h = url_hash(url)
-        m = h % n_seen_shards
-        if snap_refs is not None:
-            if not snap_cache:
-                # first guard query: resolve ALL shard snapshots in one
-                # plasma get (they were published at round start and are
-                # long since ready — one batched get beats 32 sequential
-                # ~0.8 ms gets, measured ~6 core-s/large round)
-                _t0 = time.time()
-                # snap_refs arrives as the unwrapped list (Ray resolves
-                # the top-level pack ref at dispatch); the inner refs
-                # resolve here, in one batched plasma get
-                snap_cache.update(enumerate(ray.get(list(snap_refs))))
-                guard_wait[0] += time.time() - _t0
-                guard_wait[1] += 1
-            arr = snap_cache[m]
-            j = int(np.searchsorted(arr, np.uint64(h)))
-            return j < len(arr) and int(arr[j]) == h
-        _t0 = time.time()
-        [code] = ray.get(
-            seen_handles[m].status_many.remote(
-                [url], np.array([h], dtype=np.uint64)
-            )
-        )
-        guard_wait[0] += time.time() - _t0
-        guard_wait[1] += 1
-        return code != 0
+        if not snap_cache:
+            # first guard query: resolve ALL shard snapshots in one plasma
+            # get (they were published at round start and are long since
+            # ready — one batched get beats 32 sequential ~0.8 ms gets,
+            # measured ~6 core-s/large round). snap_refs arrives as the
+            # unwrapped list (Ray resolves the top-level pack ref at
+            # dispatch); the inner refs resolve here
+            _t0 = time.time()
+            snap_cache.extend(ray.get(list(snap_refs)))
+            guard_wait[0] += time.time() - _t0
+            guard_wait[1] += 1
+        arr = snap_cache[h % n_seen_shards]
+        j = int(np.searchsorted(arr, np.uint64(h)))
+        return j < len(arr) and int(arr[j]) == h
 
-    if frontier_packs:
-        # unwrap: pack refs -> per-group lists of table refs -> tables
-        # (all plasma-local gets; every ref was ready before this round's
-        # tasks were submitted — the driver waits on combined stats)
-        part_refs = [r for pack in ray.get(list(frontier_packs)) for r in pack]
-        frontier_parts = ray.get(part_refs)
-        # group tables carry a shard column: filter to THIS task's shards
-        shard_set = pa.array(shards, pa.int32())
-        mine = []
-        for t in frontier_parts:
-            if t.num_rows == 0:
-                continue
-            t = t.filter(
-                pa.compute.is_in(t["shard"], value_set=shard_set)
-            ).drop_columns(["shard"])
-            if t.num_rows:
-                mine.append(t)
-        group = pa.concat_tables(mine) if mine else None
-    else:
-        group = read_frontier_group(frontier_dir, shards)
+    group = read_frontier_group(frontier_dir, shards)
     if group is None:
         return _returns(
             {
@@ -728,10 +693,10 @@ def combined_round(
     round_idx: int,
     next_frontier_dir: str,
     metas,
-) -> tuple:
+) -> dict:
     """Terminal + candidate phase for ONE seen shard -- runs INSIDE the
-    shard's actor process (``state`` is its SeenShardLocal; mutations are
-    direct method calls: no blocked task slots, no actor round trips).
+    shard's host actor process (``state`` is its SeenShardLocal; mutations
+    are direct method calls: no blocked task slots, no actor round trips).
 
     ``metas`` are this shard's META_SCHEMA tables, one per fetch task
     (the matching multi-return of each), delivered zero-copy through the
@@ -741,45 +706,13 @@ def combined_round(
     oracle pops), then candidate insertIfNotDone with within-round dedup
     by minimal discovery key.
 
-    Returns (stats dict, *frontier partitions) -- one shard-column-tagged
-    FRONTIER_SCHEMA table per frontier GROUP (n_frontier_groups, not one
-    per fetch shard: at 256 shards the 257 multi-returns per call cost
-    ~0.5 ms of object-store bookkeeping each, ~1 s of wall per drain
-    round); fetch task s filters its group tables to its own shard rows.
-    Survivors are ALSO written as ONE lineage frontier file
-    (row-group-partitioned by fetch shard) -- read only on resume. The
-    shard's seen-delta checkpoint file is written LAST so a committed
-    round's delta reflects every mutation of the round.
+    Survivors are written as ONE frontier file, one row group per
+    frontier group of fetch shards (``write_frontier_shards``): the next
+    round's fetch tasks read their rows from it, and it is the resume
+    lineage. The shard's seen-delta checkpoint file is written LAST so a
+    committed round's delta reflects every mutation of the round. Returns
+    the stats dict only.
     """
-    if os.environ.get("GRAFT_PROF_COMBINED") and state.shard_id == 0:
-        import cProfile
-        import pstats
-
-        pr = cProfile.Profile()
-        pr.enable()
-        try:
-            return _combined_round_body(
-                state, n_fetch_shards, run_dir, round_idx, next_frontier_dir,
-                metas,
-            )
-        finally:
-            pr.disable()
-            st_ = pstats.Stats(pr)
-            st_.sort_stats("cumulative")
-            st_.dump_stats(f"/tmp/comb_prof_round_{round_idx}.pstats")
-    return _combined_round_body(
-        state, n_fetch_shards, run_dir, round_idx, next_frontier_dir, metas
-    )
-
-
-def _combined_round_body(
-    state,
-    n_fetch_shards: int,
-    run_dir: str,
-    round_idx: int,
-    next_frontier_dir: str,
-    metas,
-) -> tuple:
     _t_task = time.time()
     ss = state.shard_id
     rdir = os.path.join(run_dir, f"round_{round_idx:05d}")
@@ -789,14 +722,13 @@ def _combined_round_body(
 
     nonempty = [m for m in metas if m.num_rows]
     n_new = 0
-    frontier_parts = None
     prof = {"t_read": 0.0, "t_mut": 0.0, "t_cand": 0.0, "t_write": 0.0, "t_delta": 0.0}
     if nonempty:
         import pandas as pd
 
         t = pa.concat_tables(nonempty)
         prof["t_read"] = time.time() - _t_task
-        is_mut = pa.compute.equal(t["kind"], "mut").combine_chunks().to_numpy(
+        is_mut = pc.equal(t["kind"], "mut").combine_chunks().to_numpy(
             zero_copy_only=False
         )
         # vectorized canonical (p_host, p_seq, link_idx) order: factorize
@@ -851,21 +783,14 @@ def _combined_round_body(
                 write_frontier_shards(
                     sub, next_frontier_dir, n_fetch_shards, f"from_{ss:05d}"
                 )
-                frontier_parts = partition_frontier_groups(sub, n_fetch_shards)
             prof["t_write"] = time.time() - _t_task - sum(
                 prof[k] for k in ("t_read", "t_mut", "t_cand")
             )
-    if frontier_parts is None:
-        empty = FRONTIER_SCHEMA.empty_table().append_column(
-            "shard", pa.array([], pa.int32())
-        )
-        frontier_parts = [empty] * n_frontier_groups(n_fetch_shards)
 
     # per-shard checkpoint delta (was a separate driver round-trip in r1)
     state.write_delta(delta_dir)
     prof["t_delta"] = time.time() - _t_task - sum(
         prof[k] for k in ("t_read", "t_mut", "t_cand", "t_write")
     )
-    stats = {"sshard": ss, "n_new": n_new, "sec": time.time() - _t_task,
-             "t0": _t_task, "t1": time.time(), **prof}
-    return (stats, *frontier_parts)
+    return {"sshard": ss, "n_new": n_new, "sec": time.time() - _t_task,
+            "t0": _t_task, "t1": time.time(), **prof}

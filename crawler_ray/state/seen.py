@@ -19,8 +19,7 @@ per shard with the actor-handle call surface.
 Round protocol (matches the oracle's mutation convention, oracle.py):
 - during a round's fetch phase the shards are READ-ONLY: the meta-refresh
   trap guard reads the per-shard ``snapshot_hashes`` arrays published to
-  the object store at round start (``status_many`` remains the exact
-  string-keyed fallback);
+  the object store at round start;
 - at round end ``combined_round`` applies terminal mutations
   (``apply_mutations``), then candidate inserts (``check_and_insert``).
 
@@ -82,13 +81,6 @@ class SeenShardLocal:
             self.bloom.add_many(arr)
 
     # -- round API ------------------------------------------------------
-    def status_many(self, urls: list[str], hashes: np.ndarray) -> list[int]:
-        """0 = never seen; else status code. Filter answers negatives."""
-        maybe = self._maybe_in(hashes.astype(np.uint64))
-        return [
-            (self.status.get(u, 0) if m else 0) for u, m in zip(urls, maybe)
-        ]
-
     def apply_mutations(self, urls: list[str], hashes: np.ndarray, ops: list[int]) -> None:
         """Replay per-outcome terminal mutations in the canonical
         (host, seq, op_idx) order the caller sorted them into (oracle.py's
@@ -139,7 +131,7 @@ class SeenShardLocal:
         next_frontier_dir: str,
         *metas,
     ):
-        """Terminal mutations + candidate inserts + frontier partition +
+        """Terminal mutations + candidate inserts + frontier lineage file +
         delta checkpoint for this shard, executed inside the actor so the
         round-end phase holds no task slots while touching shard state
         (stages.fetch.combined_round has the full convention doc)."""
@@ -199,10 +191,10 @@ class SeenShardLocal:
         round-start read-only guard snapshot. Published to the object
         store once per round; fetch tasks answer ``is_done`` with a
         binary search on the plasma-shared array instead of a blocking
-        ``status_many`` actor call (which serialized every fetch task
-        against this actor's mailbox at round start; measured ~12 core-s
-        per large round, with multi-second tail stalls when a round's
-        deferred docs/delta work kept the actor busy)."""
+        actor call (which serialized every fetch task against this
+        actor's mailbox at round start; measured ~12 core-s per large
+        round, with multi-second tail stalls when a round's deferred
+        docs/delta work kept the actor busy)."""
         return np.sort(np.fromiter(self._hset, dtype=np.uint64, count=len(self._hset)))
 
     def counts(self) -> dict[str, int]:
@@ -237,12 +229,9 @@ class SeenHost:
 
 @dataclass(frozen=True)
 class _ShardMethod:
-    call: Any  # the host's ``call`` actor method, possibly with options
+    call: Any  # the host's ``call`` actor method
     shard_id: int
     name: str
-
-    def options(self, **kw) -> "_ShardMethod":
-        return _ShardMethod(self.call.options(**kw), self.shard_id, self.name)
 
     def remote(self, *args):
         return self.call.remote(self.shard_id, self.name, *args)
@@ -250,9 +239,8 @@ class _ShardMethod:
 
 class SeenShard:
     """Picklable handle to one shard in its host actor (``self.host``):
-    ``shard.check_and_insert.remote(...)`` and
-    ``shard.combined_round.options(num_returns=k).remote(...)`` behave as on
-    an actor handle of a one-shard actor."""
+    ``shard.check_and_insert.remote(...)`` behaves as on an actor handle
+    of a one-shard actor."""
 
     def __init__(self, host, shard_id: int):
         self.host = host

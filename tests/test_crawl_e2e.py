@@ -149,10 +149,16 @@ def test_determinism_across_shard_counts(ray_session, web, policy, tmp_path):
         web, policy, tmp_path / "b", seeds, n_fetch_shards=32, n_seen_shards=16,
         fetch_concurrency=3,
     )
-    assert seen1 == seen2
-    o1, o2 = read_order(str(tmp_path / "a")), read_order(str(tmp_path / "b"))
-    assert o1["url"].to_pylist() == o2["url"].to_pylist()
-    assert o1["seq"].to_pylist() == o2["seq"].to_pylist()
+    # more than 32 fetch shards: two shards share each lineage row group
+    s3, seen3 = _run_engine(
+        web, policy, tmp_path / "c", seeds, n_fetch_shards=48, n_seen_shards=4,
+    )
+    assert seen1 == seen2 == seen3
+    o1 = read_order(str(tmp_path / "a"))
+    for other in ("b", "c"):
+        o2 = read_order(str(tmp_path / other))
+        assert o1["url"].to_pylist() == o2["url"].to_pylist()
+        assert o1["seq"].to_pylist() == o2["seq"].to_pylist()
 
 
 def test_quota_matches_oracle(ray_session, web, policy, tmp_path):

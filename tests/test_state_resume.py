@@ -91,12 +91,12 @@ def test_seen_shard_round_protocol():
     assert all(ok)
     ok2 = s.check_and_insert(urls, hs)
     assert not any(ok2)  # all already in-progress
-    assert s.status_many(urls[:5], hs[:5]) == [IN_PROGRESS] * 5
+    assert [s.status.get(u, 0) for u in urls[:5]] == [IN_PROGRESS] * 5
     s.apply_mutations(urls[:50], hs[:50], [COMPLETED] * 50)
-    assert s.status_many(urls[:3], hs[:3]) == [COMPLETED] * 3
+    assert [s.status.get(u, 0) for u in urls[:3]] == [COMPLETED] * 3
     # a delete op makes a URL insertable again (sub-fetch quirk path)
     s.apply_mutations(urls[60:61], hs[60:61], [0])
-    assert s.status_many(urls[60:61], hs[60:61]) == [0]
+    assert s.status.get(urls[60], 0) == 0
     assert s.check_and_insert(urls[60:61], hs[60:61]) == [True]
 
 
@@ -152,7 +152,7 @@ def test_degraded_seen_shard_has_no_false_negatives():
         assert all(s.check_and_insert(urls[lo : lo + 500], hs[lo : lo + 500]))
     assert s.cuckoo.degraded
     assert not any(s.check_and_insert(urls, hs))
-    assert s.status_many(urls, hs) == [IN_PROGRESS] * len(urls)
+    assert [s.status.get(u, 0) for u in urls] == [IN_PROGRESS] * len(urls)
     table = s.cuckoo.table.copy()
     s.check_and_insert(*_urls_and_hashes(100, "http://other.test/"))
     assert np.array_equal(s.cuckoo.table, table)  # read-only once degraded
