@@ -187,7 +187,7 @@ def _ensure_lsh_index(sf_dir: str) -> tuple[str, int]:
         LshIndexStage, batch_format="pandas", batch_size=4096,
         concurrency=pool_size(),
     )
-    tmp = idx_dir + ".tmp"
+    tmp = f"{idx_dir}.tmp.{os.getpid()}"
     import shutil
 
     shutil.rmtree(tmp, ignore_errors=True)
@@ -418,7 +418,7 @@ def _ensure_ivf_index(sf_dir: str) -> tuple[str, int, np.ndarray]:
             }
         )
 
-    tmp = idx_dir + ".tmp"
+    tmp = f"{idx_dir}.tmp.{os.getpid()}"
     shutil.rmtree(tmp, ignore_errors=True)
     ds.map_batches(assign_cells, batch_format="pandas", batch_size=4096).write_parquet(
         tmp, partition_cols=["c"]

@@ -60,7 +60,10 @@ def rebuild_shards(cfg: CrawlConfig, upto_round: int):
             if t.num_rows == 0:
                 continue
             shard_id = int(t["shard"][0].as_py())
-            refs.append(shards[shard_id].restore.remote(t.select(["url", "status"])))
+            # one record batch: a pa.Table argument would make the seen
+            # host import pandas to deserialize it (state/seen.py SeenHost)
+            batch = t.select(["url", "status"]).combine_chunks().to_batches()[0]
+            refs.append(shards[shard_id].restore.remote(batch))
         ray.get(refs)
     return shards
 

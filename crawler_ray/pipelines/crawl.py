@@ -9,13 +9,25 @@ Each round is two RAW-Ray-task fan-outs with file-partitioned exchange
         |                  file each, rows sorted by host-hash fetch shard
         |                  -> politeness, shuffle 1; one row group per
         |                  frontier group of fetch shards)
-        v  one fetch TASK per shard (per-host FIFO, sub-fetch chains,
-        |  cookies snapshot in, docs/order/logs written in place)
-    per-seen-shard Arrow meta tables via Ray multi-return (object-store
+        v  one fetch TASK per shard, or per run of consecutive shards
+        |  in a small round (per-host FIFO, sub-fetch chains, cookies
+        |  snapshot in, order/logs written in place)
+    per-seen-HOST Arrow meta batches via Ray multi-return (object-store
         |  exchange, shuffle 2 — no files; see stages/fetch.py)
-        v  one combined call per seen shard (canonical-order terminal
-        |  mutations, candidate dedup + insertIfNotDone, delta checkpoint)
+        v  one combined call per seen host, running each of its shards
+        |  in id order (canonical-order terminal mutations, candidate
+        |  dedup + insertIfNotDone, delta checkpoint)
     frontier_{k+1}/from_{m}.parquet + MANIFEST
+
+Beside the barrier, D docs tasks per round (payload take + verify +
+docs parquet) each take one docs-metadata return of every fetch task.
+
+A round's task counts follow its size, not the configured fan-out: with
+R frontier rows a round starts min(n_fetch_shards, 128, R // 400) fetch
+tasks and D = min(n_docs_groups, corpus shards, R // 400) docs tasks (at
+least one each; ``ROWS_PER_TASK`` = 400), and makes one combined call
+per seen host. Both counts are pure functions of R, so a rerun or a
+resume regroups identically.
 
 The frontier files are the only way frontier rows reach the next round,
 and they are also the resume lineage: round 0, a resume, an injection
@@ -69,8 +81,9 @@ import ray
 import ray.data as rd
 
 from ..fetchsim import FetchPolicy
-from ..state.seen import make_shards
+from ..state.seen import make_shards, seen_hosts
 from ..stages.fetch import (
+    DOCS_SCHEMA,
     FRONTIER_SCHEMA,
     fetch_shard,
     write_docs_group,
@@ -79,10 +92,15 @@ from ..stages.fetch import (
 from ..urlkit import IncludePatterns, canonicalise, get_domain, url_hash
 from ..webgen import WebSpec
 
-# raw-task wrappers around the stage bodies (one task per shard); the
-# combined stage runs as SeenShard.combined_round actor calls
+# raw-task wrappers around the stage bodies; the combined stage runs as
+# one SeenHost.combined_round actor call per seen host
 _fetch_task = ray.remote(fetch_shard)
 _docs_task = ray.remote(write_docs_group)
+
+# frontier rows per fetch task and per docs task: a round starts about
+# frontier_rows / ROWS_PER_TASK of each (capped), so a 50-URL drain round
+# costs one fetch task and one docs task, not a full fan-out
+ROWS_PER_TASK = 400
 
 
 @dataclass
@@ -104,8 +122,9 @@ class CrawlConfig:
     # run the per-row payload invariant inline in the fetch stage
     verify_payload: bool = False
     seen_capacity_per_shard: int = 1 << 17
-    # docs-sink partitions per round: each group owns a set of corpus
-    # shards and performs only LOCAL payload takes (stages/fetch.py)
+    # cap on docs-sink tasks per round (the round's size sets the count,
+    # see crawl()): each task owns a set of corpus shards and performs
+    # only LOCAL payload takes (stages/fetch.py)
     n_docs_groups: int = 32
     # TEST-ONLY fault injection: called as fault_hook(round, shards) at
     # the top of every round so tests can kill a seen host actor
@@ -155,12 +174,14 @@ def _insert_new_urls(
         us, hs = by_shard.setdefault(h % len(shards), ([], []))
         us.append(cu)
         hs.append(h)
+    # one wave: every shard's insert in flight before the single get
+    refs = {
+        s: shards[s].check_and_insert.remote(us, _np_u64(hs))
+        for s, (us, hs) in by_shard.items()
+    }
     accepted: dict[str, bool] = {}
-    for s, (us, hs) in by_shard.items():
-        for u, ok in zip(
-            us, ray.get(shards[s].check_and_insert.remote(us, _np_u64(hs)))
-        ):
-            accepted[u] = ok
+    for s, oks in zip(refs, ray.get(list(refs.values()))):
+        accepted.update(zip(by_shard[s][0], oks))
     return [r for r in rows if accepted.get(r[0], False)]
 
 
@@ -285,6 +306,7 @@ def crawl(
 
     if shards is None:
         shards = make_shards(cfg.n_seen_shards, cfg.seen_capacity_per_shard)
+    hosts = seen_hosts(shards)
 
     policy = cfg.policy
     # restore pattern widenings consumed by earlier rounds (ADVICE r2
@@ -329,6 +351,7 @@ def crawl(
             shard_of_host(h, n_corpus_shards) for h in range(cfg.spec.n_hosts)
         ]
     else:
+        n_corpus_shards = None
         corpus_shard_of_host = None
 
     def _ctx_refs(pol: FetchPolicy):
@@ -337,8 +360,7 @@ def crawl(
             policy=pol,
             corpus_path=cfg.corpus_path,
             n_seen_shards=cfg.n_seen_shards,
-            n_fetch_shards=cfg.n_fetch_shards,
-            n_docs_groups=cfg.n_docs_groups,
+            n_seen_hosts=len(hosts),
             corpus_shard_of_host=corpus_shard_of_host,
             run_dir=cfg.run_dir,
             politeness_delay=cfg.politeness_delay,
@@ -399,34 +421,39 @@ def crawl(
             break
 
         # --- fetch stage: one raw task per fetch shard. Each task has
-        #     1 + n_docs_groups + n_seen_shards returns: stats, one docs-
-        #     metadata table per docs group (partitioned by the landed
-        #     page's corpus shard), then one meta table per seen shard
+        #     1 + D + P returns: stats, one docs-
+        #     metadata table per docs task (partitioned by the landed
+        #     page's corpus shard), then one meta table per seen host
         #     (the fetch->combined exchange) — all via object store
         csnap = tuple(sorted(summary.cookies.items()))
-        G = cfg.n_docs_groups
         # BFS-drain rounds have tiny frontiers: fold shards into fewer
-        # tasks (~400 URLs each) so a 50-URL round costs a handful of
-        # task dispatches, not n_fetch_shards x 2. A folded task opens
-        # each frontier file once and reads only the row groups covering
-        # its shards (stages/fetch.py read_frontier_group). Grouping is a
-        # pure function of frontier_rows, so reruns and resumes regroup
+        # tasks (ROWS_PER_TASK URLs each) so a 50-URL round costs a
+        # handful of task dispatches, not n_fetch_shards x 2. A folded
+        # task takes a run of consecutive shards, which share frontier
+        # row groups at > 32 fetch shards, so few tasks read each row
+        # group (stages/fetch.py read_frontier_group). Grouping is a pure
+        # function of frontier_rows, so reruns and resumes regroup
         # identically.
         # Upper cap 128: a 256-task round pays ~2.6 ms driver submission
-        # and ~32 ms of multi-return object creation PER TASK (65 returns
-        # x ~0.5 ms); folding big rounds 256 -> 128 tasks halves that
-        # fixed cost while per-task work (~1-3k URLs) still swamps skew.
-        # The cap is a constant — NOT derived from the cluster size — so
-        # the job stays bit-identical across cpu levels (scaling
-        # protocol) and regroups identically on resume.
-        n_groups = min(cfg.n_fetch_shards, 128, max(1, frontier_rows // 400))
-        if n_groups == cfg.n_fetch_shards:
-            task_shards = [[s] for s in range(cfg.n_fetch_shards)]
-        else:
-            task_shards = [
-                list(range(g, cfg.n_fetch_shards, n_groups))
-                for g in range(n_groups)
-            ]
+        # and multi-return object creation PER TASK; folding big rounds
+        # 256 -> 128 tasks halves that fixed cost while per-task work
+        # (~1-3k URLs) still swamps skew. The cap is a constant — NOT
+        # derived from the cluster size — so the job stays bit-identical
+        # across cpu levels (scaling protocol) and regroups identically
+        # on resume.
+        n_by_size = max(1, frontier_rows // ROWS_PER_TASK)
+        n_groups = min(cfg.n_fetch_shards, 128, n_by_size)
+        nf = cfg.n_fetch_shards
+        task_shards = [
+            list(range(g * nf // n_groups, (g + 1) * nf // n_groups))
+            for g in range(n_groups)
+        ]
+        # docs tasks fold the same way: D is capped by n_docs_groups and,
+        # for a sharded corpus, by its shard count (a doc's task is its
+        # corpus shard % D, so more tasks than corpus shards stay empty)
+        D = min(cfg.n_docs_groups, n_by_size)
+        if n_corpus_shards is not None:
+            D = min(D, n_corpus_shards)
         # round-start guard snapshots: each seen actor publishes its
         # sorted url-hash array to the object store. Actor-mailbox
         # ordering puts these after the previous round's combined_round,
@@ -439,11 +466,9 @@ def crawl(
         # measured ~1 ms/task of driver-serial submission time.
         snap_pack = ray.put([s.snapshot_hashes.remote() for s in shards])
         fetch_rets = [
-            _fetch_task.options(
-                num_returns=1 + G + cfg.n_seen_shards
-            ).remote(
+            _fetch_task.options(num_returns=1 + D + len(hosts)).remote(
                 grp if len(grp) > 1 else grp[0],
-                ctx_ref, rnd, frontier_path, csnap, snap_pack,
+                ctx_ref, rnd, frontier_path, csnap, snap_pack, D,
             )
             for grp in task_shards
         ]
@@ -457,22 +482,23 @@ def crawl(
             _docs_task.remote(
                 g, ctx_ref, rnd, *[fr[1 + g] for fr in fetch_rets]
             )
-            for g in range(G)
+            for g in range(D)
         ]
         # --- combined terminal+candidate stage: one combined_round actor
-        #     call per seen shard, fed every fetch task's meta-list ref.
+        #     call per seen host, fed every fetch task's meta ref for it.
         #     Submitted immediately — those object refs ARE the fetch-phase
         #     barrier (no combined call can start before every fetch task
         #     finished, so the seen set stays frozen during the fetch
         #     phase), and the driver's stats processing below overlaps
-        #     with combined execution instead of gating it. Each call
-        #     writes its survivors to next_path and returns its stats.
+        #     with combined execution instead of gating it. Each shard
+        #     writes its survivors to next_path; a call returns the stats
+        #     of its host's shards.
         comb_rets = [
-            shards[m].combined_round.remote(
+            host.combined_round.remote(
                 cfg.n_fetch_shards, cfg.run_dir, rnd, next_path,
-                *[r[1 + G + m] for r in fetch_rets],
+                *[r[1 + D + p] for r in fetch_rets],
             )
-            for m in range(cfg.n_seen_shards)
+            for p, host in enumerate(hosts)
         ]
 
         stats1 = ray.get([r[0] for r in fetch_rets])
@@ -502,7 +528,10 @@ def crawl(
         ):
             summary.cookies[name] = val
 
-        stats2 = ray.get(comb_rets)
+        stats2 = sorted(
+            (st for per_host in ray.get(comb_rets) for st in per_host),
+            key=lambda st: st["sshard"],
+        )
         frontier_rows = sum(r["n_new"] for r in stats2)
         _t_combined = _time.time() - _t_round - _t_fetch
 
@@ -764,26 +793,7 @@ def read_crawled(run_dir: str):
     if not files:
         # full docs schema, typed and empty — a url-only fallback diverged
         # from the non-empty path's schema (review r5)
-        schema = pa.schema(
-            [
-                ("url", pa.string()),
-                ("redirect_chain", pa.list_(pa.string())),
-                ("content", pa.binary()),
-                ("worker_id", pa.string()),
-                ("round", pa.int32()),
-                ("host", pa.string()),
-                ("seq", pa.int64()),
-                ("hops", pa.int32()),
-                ("image_id", pa.string()),
-                ("image_bytes", pa.binary()),
-                ("caption", pa.string()),
-                ("w", pa.int32()),
-                ("h", pa.int32()),
-                ("fmt", pa.string()),
-                ("phash", pa.int64()),
-            ]
-        )
-        return rd.from_arrow(schema.empty_table())
+        return rd.from_arrow(DOCS_SCHEMA.empty_table())
     return rd.read_parquet(files)
 
 

@@ -21,11 +21,12 @@ Data exchange, round-2 layout (re-planned after measuring round 1):
   (fetch shard, seen shard) pair, ~8k tiny ext4 creates+renames per
   round) cost more core-seconds than the crawl's real work and caused
   journal-flush stalls.
-- meta (fetch -> combined, intra-round only): Arrow tables through the
-  OBJECT STORE — fetch task ``s`` multi-returns (stats, docs_g0 ..
-  docs_g{G-1}, meta_ss0 .. meta_ss{M-1}) with
-  ``num_returns=1+n_docs_groups+n_seen_shards``; combined actor ``m``
-  receives exactly the (1+G+m)-th return ref of every fetch task
+- meta (fetch -> combined, intra-round only): Arrow record batches
+  through the OBJECT STORE — fetch task ``s`` multi-returns (stats,
+  docs_0 .. docs_{D-1}, meta_h0 .. meta_h{P-1}) with ``num_returns=1+D+P``,
+  D the round's docs-task count and P the number of seen HOSTS; host
+  ``p`` (owning seen shards i ≡ p mod P) receives exactly the (1+D+p)-th
+  return ref of every fetch task in one ``combined_round`` call
   (per-consumer granularity: a consumer deserializes only its own slice,
   never the whole exchange). No files: resume reruns an uncommitted
   round from its frontier files, so meta needs no durability.
@@ -35,9 +36,12 @@ Data exchange, round-2 layout (re-planned after measuring round 1):
   ~1 KB x stored-docs through plasma every round (round-3 change: the
   measured 32-worker core-second inflation tracked shared plasma/disk
   byte volume, VERDICT r2 #1).
-- docs metadata is partitioned by the LANDED page's CORPUS shard (G
-  group returns per fetch task), not by fetch shard: payload attach is
-  co-partitioned with payload storage. Round-3 change: with docs tasks
+- docs metadata is partitioned by the LANDED page's CORPUS shard (D
+  returns per fetch task, doc -> corpus shard % D), not by fetch shard:
+  payload attach is co-partitioned with payload storage. D follows the
+  round's size — min(n_docs_groups, corpus shards, frontier rows / 400)
+  (pipelines/crawl.py ROWS_PER_TASK) — so a drain round starts one docs
+  task, not n_docs_groups. Round-3 change: with docs tasks
   keyed by fetch shard, the ~25% of stored docs that land cross-host
   (redirect/meta/form/direction chains) each paid a full row-group read
   in a foreign corpus partition — 0.5-1.1 ms/row and ~170 GB of read
@@ -114,6 +118,32 @@ META_SCHEMA = pa.schema(
     ]
 )
 
+# stored-doc files (round_*/docs/part-*.parquet); write_docs_group appends
+# an int8 ``payload_ok`` column when the run verifies payloads
+DOCS_SCHEMA = pa.schema(
+    [
+        ("url", pa.string()),
+        ("redirect_chain", pa.list_(pa.string())),
+        ("content", pa.binary()),
+        ("worker_id", pa.string()),
+        ("round", pa.int32()),
+        ("host", pa.string()),
+        ("seq", pa.int64()),
+        ("hops", pa.int32()),
+        ("image_id", pa.string()),
+        ("image_bytes", pa.binary()),
+        ("caption", pa.string()),
+        ("w", pa.int32()),
+        ("h", pa.int32()),
+        ("fmt", pa.string()),
+        ("phash", pa.int64()),
+    ]
+)
+
+# verify working-set bound: a docs task stacks at most this many decoded
+# images (and their ground truths) at once, however many docs it writes
+VERIFY_CHUNK_ROWS = 256
+
 _CORPUS_CACHE: dict[str, object] = {}
 
 
@@ -134,19 +164,17 @@ def _atomic_write(path: str, table: pa.Table) -> None:
 
 def _host_shards(table: pa.Table, n_fetch_shards: int) -> np.ndarray:
     """Vectorized shard = url_hash(host) % n: hosts repeat heavily, so
-    factorize once and hash only the UNIQUE hosts (VERDICT r2 #3 — the
-    per-row Python url_hash loop ran in every combined actor every
+    dictionary-encode once and hash only the UNIQUE hosts (VERDICT r2 #3 —
+    the per-row Python url_hash loop ran in every combined actor every
     round)."""
-    import pandas as pd
-
-    hosts = table["host"].combine_chunks().to_numpy(zero_copy_only=False)
-    codes, uniques = pd.factorize(hosts)
+    enc = pc.dictionary_encode(table["host"].combine_chunks())
+    uniques = enc.dictionary.to_pylist()
     shard_of_unique = np.fromiter(
         (url_hash(h) % n_fetch_shards for h in uniques),
         dtype=np.int64,
         count=len(uniques),
     )
-    return shard_of_unique[codes]
+    return shard_of_unique[enc.indices.to_numpy(zero_copy_only=False)]
 
 
 def _shard_sorted(
@@ -251,15 +279,16 @@ def fetch_shard(
     frontier_dir: str,
     cookies: tuple,
     snap_refs,
+    n_docs_groups: int,
 ) -> dict:
     """Process one GROUP of fetch shards' frontier rows (raw Ray task
     body). ``shards_of_task`` is an int (one shard — the usual case) or a
-    list of shard ids: when a BFS-drain round's frontier is tiny, the
-    driver folds many shards into few tasks so per-round latency is task
-    dispatch for a handful of tasks, not n_fetch_shards. Folding is safe
-    for politeness and determinism: hosts never span shards, per-host
-    FIFO order and seq assignment are per-host, and outputs are keyed by
-    the group's lead shard.
+    list of consecutive shard ids: when a BFS-drain round's frontier is
+    tiny, the driver folds many shards into few tasks so per-round
+    latency is task dispatch for a handful of tasks, not n_fetch_shards.
+    Folding is safe for politeness and determinism: hosts never span
+    shards, per-host FIFO order and seq assignment are per-host, and
+    outputs are keyed by the group's lead shard.
 
     ``ctx`` is the crawl-constant context (spec, policy, corpus_path,
     shard counts, run_dir, flags) put to the object store ONCE per crawl
@@ -268,19 +297,21 @@ def fetch_shard(
     ray.put ObjectRef wrapping the list of per-seen-shard round-start
     guard-snapshot refs (sorted url-hash arrays; see ``is_done`` below),
     resolved only if the task's meta-refresh guards actually query it.
+    ``n_docs_groups`` is the round's docs-task count D (``crawl()`` sizes
+    it from the frontier; ``CrawlConfig.n_docs_groups`` is its cap).
 
     The task's frontier rows are read from the ``frontier_dir`` lineage
     files the previous round's combined calls (or seeding, injection or a
     resume) wrote: each file is opened once and only the row groups that
     cover the task's shards are read (``read_frontier_group``).
 
-    Returns a (1 + n_docs_groups + n_seen_shards)-tuple for Ray
-    multi-return: a stats dict {shard, n_proc, n_docs, shared_cookies,
-    timings}; one stored-docs METADATA table per docs group, partitioned
-    by the landed page's corpus shard (consumed by write_docs_group,
-    which takes payloads locally and re-renders content bodies); then one
-    META_SCHEMA table per seen shard (combined actor m receives exactly
-    the (1+n_docs_groups+m)-th return of every fetch task). Per-consumer
+    Returns a (1 + D + P)-tuple for Ray multi-return: a stats dict
+    {shard, n_proc, n_docs, shared_cookies, timings}; one stored-docs
+    METADATA table per docs task, partitioned by the landed page's corpus
+    shard (consumed by write_docs_group, which takes payloads locally and
+    re-renders content bodies); then one META_SCHEMA record batch per
+    seen host, rows routed by ``uhash % n_seen_shards % P`` (host p
+    receives exactly the (1+D+p)-th return of every fetch task). Per-consumer
     granularity matters: a consumer deserializes only its own slice,
     never the whole exchange. The exchanges travel through the OBJECT
     STORE — intra-round intermediate state, not checkpoint lineage
@@ -304,7 +335,7 @@ def fetch_shard(
     for d in (order_dir, logs_dir):
         os.makedirs(d, exist_ok=True)
 
-    n_docs_groups = ctx["n_docs_groups"]
+    n_seen_hosts = ctx["n_seen_hosts"]
     corpus_shard_of_host = ctx["corpus_shard_of_host"]
 
     def _docs_group_of(pid: int) -> int:
@@ -342,26 +373,23 @@ def fetch_shard(
             _docs_table(by_g.get(g, [])) for g in range(n_docs_groups)
         ]
         hs = [url_hash(row[1]) for row in meta_rows]
-        by_ss: dict[int, list[int]] = {}
+        by_host: dict[int, list[int]] = {}
         for j, h in enumerate(hs):
-            by_ss.setdefault(h % n_seen_shards, []).append(j)
-        tables = []
-        for m in range(n_seen_shards):
-            idxs = by_ss.get(m)
-            if not idxs:
-                tables.append(META_SCHEMA.empty_table())
-                continue
-            rows = [meta_rows[j] for j in idxs]
-            cols = list(zip(*rows)) + [[hs[j] for j in idxs]]
-            tables.append(
-                pa.table(
-                    {
-                        f.name: pa.array(list(c), f.type)
-                        for f, c in zip(META_SCHEMA, cols)
-                    }
+            by_host.setdefault(h % n_seen_shards % n_seen_hosts, []).append(j)
+        # record batches, not tables: Ray deserializes a pa.Table through
+        # ray.air, which imports pandas in the seen host (~0.6 s per host
+        # process); a batch travels by pyarrow's own pickling
+        batches = []
+        for p in range(n_seen_hosts):
+            rows = [meta_rows[j] + (hs[j],) for j in by_host.get(p, [])]
+            cols = list(zip(*rows)) or [()] * len(META_SCHEMA)
+            batches.append(
+                pa.RecordBatch.from_arrays(
+                    [pa.array(list(c), f.type) for f, c in zip(META_SCHEMA, cols)],
+                    schema=META_SCHEMA,
                 )
             )
-        return (stats, *docs_tables, *tables)
+        return (stats, *docs_tables, *batches)
 
     # meta-refresh trap-guard reads (checkNotDone, Crawl.hs:138): answered
     # from the round-start seen SNAPSHOT — per-shard sorted url-hash
@@ -613,7 +641,10 @@ def write_docs_group(
         # per image (tiny-array numpy call overhead measured ~250 us/doc
         # under 32-way load, >40% of the docs stage). Values are
         # bit-identical to the per-image formulation: integer sums are
-        # exact in float64 and every corpus dim is a multiple of 8.
+        # exact in float64 and every corpus dim is a multiple of 8. Each
+        # shape group runs in chunks of VERIFY_CHUNK_ROWS, so a task's
+        # stacked-image memory stays bounded however many docs it holds;
+        # every value is per image, so chunking changes none of them.
         datas = payload["bytes"].to_pylist()
         caps = payload["caption"].to_pylist()
         phs = payload["phash"].to_pylist()
@@ -624,7 +655,12 @@ def write_docs_group(
         by_shape: dict[tuple, list[int]] = {}
         for j, (h, w, fmt) in enumerate(zip(hs, ws, fmts)):
             by_shape.setdefault((h, w, fmt), []).append(j)
-        for (h, w, fmt), idxs in by_shape.items():
+        chunks = [
+            (shape, idxs[lo : lo + VERIFY_CHUNK_ROWS])
+            for shape, idxs in by_shape.items()
+            for lo in range(0, len(idxs), VERIFY_CHUNK_ROWS)
+        ]
+        for (h, w, fmt), idxs in chunks:
             truths = np.stack([spec.pixels_of(page_ids[j]) for j in idxs])
             decs = np.stack([decode_image(datas[j]) for j in idxs])
             n = len(idxs)
@@ -664,18 +700,17 @@ def write_docs_group(
         ],
         pa.binary(),
     )
-    table = docs_tbl.drop_columns(["page_id"])
-    # content at index 2: keeps the docs-file column order of rounds 1-2
-    table = table.add_column(2, pa.field("content", pa.binary()), bodies)
-    table = table.append_column("image_id", payload["image_id"])
-    table = table.append_column("image_bytes", payload["bytes"])
-    table = table.append_column("caption", payload["caption"])
-    table = table.append_column("w", payload["w"])
-    table = table.append_column("h", payload["h"])
-    table = table.append_column("fmt", payload["fmt"])
-    table = table.append_column("phash", payload["phash"])
+    cols = {
+        **{n: docs_tbl[n] for n in docs_tbl.column_names},
+        "content": bodies,
+        **{n: payload[n] for n in ("image_id", "caption", "w", "h", "fmt", "phash")},
+        "image_bytes": payload["bytes"],
+    }
+    schema = DOCS_SCHEMA
     if ok_col is not None:
-        table = table.append_column("payload_ok", ok_col)
+        schema = schema.append(pa.field("payload_ok", pa.int8()))
+        cols["payload_ok"] = ok_col
+    table = pa.Table.from_arrays([cols[n] for n in schema.names], schema=schema)
     _t_render = time.time()
     _atomic_write(os.path.join(docs_dir, f"part-{group:05d}.parquet"), table)
     _t1 = time.time()
@@ -698,9 +733,10 @@ def combined_round(
     shard's host actor process (``state`` is its SeenShardLocal; mutations
     are direct method calls: no blocked task slots, no actor round trips).
 
-    ``metas`` are this shard's META_SCHEMA tables, one per fetch task
-    (the matching multi-return of each), delivered zero-copy through the
-    object store. Per-URL mutation ordering per oracle.py's convention:
+    ``metas`` are this shard's META_SCHEMA rows as tables: the host's
+    ``SeenHost.combined_round`` receives one batch per fetch task, splits
+    them by seen shard and calls this once per owned shard, in shard-id
+    order. Per-URL mutation ordering per oracle.py's convention:
     ALL terminal mutations replay in canonical (host, seq, op_idx) order
     (ADVICE r1 -- releases interleave with completions exactly as the
     oracle pops), then candidate insertIfNotDone with within-round dedup
@@ -724,21 +760,18 @@ def combined_round(
     n_new = 0
     prof = {"t_read": 0.0, "t_mut": 0.0, "t_cand": 0.0, "t_write": 0.0, "t_delta": 0.0}
     if nonempty:
-        import pandas as pd
-
         t = pa.concat_tables(nonempty)
         prof["t_read"] = time.time() - _t_task
         is_mut = pc.equal(t["kind"], "mut").combine_chunks().to_numpy(
             zero_copy_only=False
         )
-        # vectorized canonical (p_host, p_seq, link_idx) order: factorize
-        # p_host with sort=True so integer codes preserve its lex order,
-        # then one lexsort — only the PER-URL relative order is semantic
-        # (mutations of distinct URLs commute), and this reproduces the
-        # oracle's exactly
-        ph_codes, _ = pd.factorize(
+        # vectorized canonical (p_host, p_seq, link_idx) order: np.unique
+        # codes follow p_host's lex order, then one lexsort — only the
+        # PER-URL relative order is semantic (mutations of distinct URLs
+        # commute), and this reproduces the oracle's exactly
+        _, ph_codes = np.unique(
             t["p_host"].combine_chunks().to_numpy(zero_copy_only=False),
-            sort=True,
+            return_inverse=True,
         )
         ps_np = t["p_seq"].combine_chunks().to_numpy(zero_copy_only=False)
         li_np = t["link_idx"].combine_chunks().to_numpy(zero_copy_only=False)
@@ -763,8 +796,8 @@ def combined_round(
         if len(cand_order):
             # within-round dedup: first occurrence in canonical order wins
             cand_urls = t["url"].combine_chunks().to_numpy(zero_copy_only=False)
-            dup = pd.Series(cand_urls[cand_order]).duplicated().to_numpy()
-            keep_order = cand_order[~dup]
+            _, first = np.unique(cand_urls[cand_order], return_index=True)
+            keep_order = cand_order[np.sort(first)]
             uniq = [cand_urls[i] for i in keep_order]
             all_h = (
                 t["uhash"].combine_chunks().to_numpy(zero_copy_only=False)

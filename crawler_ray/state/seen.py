@@ -14,14 +14,23 @@ owns shards i ≡ h (mod hosts). Ray starts at most one worker process per
 CPU at a time, so one actor per shard only queued process spawns (and
 held ~150 MB each); a host runs one call at a time, which keeps every
 shard's mailbox order. ``make_shards`` returns one ``SeenShard`` handle
-per shard with the actor-handle call surface.
+per shard with the actor-handle call surface; ``seen_hosts`` recovers
+the host actors from those handles.
 
 Round protocol (matches the oracle's mutation convention, oracle.py):
 - during a round's fetch phase the shards are READ-ONLY: the meta-refresh
   trap guard reads the per-shard ``snapshot_hashes`` arrays published to
   the object store at round start;
-- at round end ``combined_round`` applies terminal mutations
-  (``apply_mutations``), then candidate inserts (``check_and_insert``).
+- at round end each host gets ONE ``SeenHost.combined_round`` call with
+  every fetch task's meta batch for its shards; it splits them by shard
+  and, for each shard in id order, applies terminal mutations
+  (``apply_mutations``), then candidate inserts (``check_and_insert``),
+  then writes the shard's frontier and delta files. A round costs one
+  actor call per host, not per shard.
+
+The host process never imports pandas (``_NoPandas``): pyarrow would
+load it on first use, and Ray's pa.Table deserializer through ray.air,
+so everything sent to a host travels as record batches.
 
 Checkpointing: ``snapshot_delta`` returns rows added/changed since the last
 snapshot (per-round delta parquet, replayed in round order by ``restore``).
@@ -29,7 +38,9 @@ snapshot (per-round delta parquet, replayed in round order by ``restore``).
 
 from __future__ import annotations
 
+import importlib.abc
 import os
+import sys
 from dataclasses import dataclass
 from typing import Any
 
@@ -122,26 +133,6 @@ class SeenShardLocal:
         self._add_to_filters(new_hashes)
         return out
 
-    # -- round-end combined phase (runs in-actor; see stages/fetch.py) --
-    def combined_round(
-        self,
-        n_fetch_shards: int,
-        run_dir: str,
-        round_idx: int,
-        next_frontier_dir: str,
-        *metas,
-    ):
-        """Terminal mutations + candidate inserts + frontier lineage file +
-        delta checkpoint for this shard, executed inside the actor so the
-        round-end phase holds no task slots while touching shard state
-        (stages.fetch.combined_round has the full convention doc)."""
-        from ..stages.fetch import combined_round as _logic
-
-        return _logic(
-            self, n_fetch_shards, run_dir, round_idx, next_frontier_dir,
-            metas,
-        )
-
     # -- checkpoint -----------------------------------------------------
     def snapshot_delta(self) -> pa.Table:
         rows = self._delta
@@ -166,10 +157,11 @@ class SeenShardLocal:
         os.replace(tmp, path)
         return t.num_rows
 
-    def restore(self, table: pa.Table) -> None:
-        """Replay one delta table. A URL absent from ``status`` at its row
-        is new to the filters (hashed once, batched into one insert); a
-        present one is already in the filters and ``_hset``."""
+    def restore(self, table: pa.Table | pa.RecordBatch) -> None:
+        """Replay one delta table (a record batch when sent to a host). A
+        URL absent from ``status`` at its row is new to the filters (hashed
+        once, batched into one insert); a present one is already in the
+        filters and ``_hset``."""
         from ..urlkit import url_hash
 
         new_hashes = []
@@ -205,8 +197,8 @@ class SeenShardLocal:
             "cuckoo_degraded": int(self.cuckoo.degraded),
         }
 
-    def full_table(self) -> pa.Table:
-        return pa.table(
+    def full_table(self) -> pa.RecordBatch:
+        return pa.record_batch(
             {
                 "url": pa.array(list(self.status.keys()), pa.string()),
                 "status": pa.array(list(self.status.values()), pa.int8()),
@@ -214,17 +206,58 @@ class SeenShardLocal:
         )
 
 
+class _NoPandas(importlib.abc.MetaPathFinder):
+    """Import hook: pandas is not installed, as far as this process sees."""
+
+    def find_spec(self, name, path=None, target=None):
+        if name.partition(".")[0] == "pandas":
+            raise ModuleNotFoundError(f"No module named {name!r}", name=name)
+        return None
+
+
 # num_cpus=0 so hosts don't reserve scheduling slots away from the fetch
 # pool; max_concurrency=1 runs one call at a time, in submission order
 @ray.remote(num_cpus=0, max_concurrency=1)
 class SeenHost:
-    """The seen shards ``shard_ids`` in one process, addressed by id."""
+    """The seen shards ``shard_ids`` (of ``n_seen_shards``) in one process,
+    addressed by id."""
 
-    def __init__(self, shard_ids: list[int], capacity: int):
+    def __init__(self, shard_ids: list[int], capacity: int, n_seen_shards: int):
+        # importing pandas cost ~0.6 s per host on round 0's barrier, and
+        # nothing here uses it (module doc)
+        if "pandas" not in sys.modules:
+            sys.meta_path.insert(0, _NoPandas())
         self.shards = {i: SeenShardLocal(i, capacity) for i in shard_ids}
+        self.n_seen_shards = n_seen_shards
 
     def call(self, shard_id: int, method: str, *args):
         return getattr(self.shards[shard_id], method)(*args)
+
+    def combined_round(
+        self,
+        n_fetch_shards: int,
+        run_dir: str,
+        round_idx: int,
+        next_frontier_dir: str,
+        *metas: pa.RecordBatch,
+    ) -> list[dict]:
+        """The round-end phase of every shard this host owns, in one call:
+        ``metas`` (one META_SCHEMA batch per fetch task) are split by
+        ``uhash % n_seen_shards``, then stages.fetch.combined_round runs
+        for each owned shard in shard-id order. A stable split keeps each
+        shard's rows in fetch-task order, so every shard sees exactly the
+        input a per-shard call would. Returns the per-shard stats dicts."""
+        from ..stages.fetch import combined_round as _logic
+
+        t = pa.Table.from_batches(metas)
+        sid = t["uhash"].to_numpy() % np.uint64(self.n_seen_shards)
+        return [
+            _logic(
+                shard, n_fetch_shards, run_dir, round_idx, next_frontier_dir,
+                [t.take(pa.array(np.flatnonzero(sid == i), pa.int64()))],
+            )
+            for i, shard in sorted(self.shards.items())
+        ]
 
 
 @dataclass(frozen=True)
@@ -255,7 +288,22 @@ class SeenShard:
 def make_shards(num_shards: int, capacity_per_shard: int = 1 << 17) -> list[SeenShard]:
     n_hosts = max(1, min(num_shards, int(ray.cluster_resources().get("CPU", 1))))
     hosts = [
-        SeenHost.remote(list(range(h, num_shards, n_hosts)), capacity_per_shard)
+        SeenHost.remote(
+            list(range(h, num_shards, n_hosts)), capacity_per_shard, num_shards
+        )
         for h in range(n_hosts)
     ]
     return [SeenShard(hosts[i % n_hosts], i) for i in range(num_shards)]
+
+
+def seen_hosts(shards: list[SeenShard]) -> list:
+    """The distinct host actors behind ``shards``, host h owning shards
+    i ≡ h (mod len(hosts)) as ``make_shards`` lays them out."""
+    hosts = []
+    for s in shards:
+        if s.host in hosts:
+            break
+        hosts.append(s.host)
+    if any(s.host != hosts[i % len(hosts)] for i, s in enumerate(shards)):
+        raise ValueError("seen shards are not laid out by make_shards")
+    return hosts

@@ -67,13 +67,14 @@ def write_warc(docs_ds, out_dir: str) -> int:
             "\n".join(batch["url"].to_pylist()).encode(), digest_size=8
         ).hexdigest()
         name = f"{rnd:05d}-{dig}.warc"
-        tmp = os.path.join(out_dir, name + ".tmp")
+        path = os.path.join(out_dir, name)
+        tmp = f"{path}.tmp.{os.getpid()}"
         with open(tmp, "wb") as f:
             for chain, content in zip(
                 batch["redirect_chain"].to_pylist(), batch["content"].to_pylist()
             ):
                 f.write(warc_entry(chain, content))
-        os.replace(tmp, os.path.join(out_dir, name))
+        os.replace(tmp, path)
         return pa.table({"entries": pa.array([batch.num_rows], pa.int64())})
 
     counts = docs_ds.map_batches(write_block, batch_format="pyarrow")

@@ -1,0 +1,223 @@
+"""Task-shape contracts: a crawl's outputs do not depend on how a round is
+cut into tasks.
+
+- A pairwise grid of fetch-shard, seen-shard and docs-group counts, with
+  the rows-per-task constant turned down so fetch and docs tasks both
+  fold, must reproduce the single-threaded oracle: read order, the seen
+  set replayed from ``seen_delta``, and the stored-doc keys.
+- ``SeenHost.combined_round`` (one call for all of a host's shards) must
+  write the same frontier and delta bytes as the per-shard body run on
+  each shard's own metas.
+- ``read_crawled`` of a run with no docs has the non-empty schema.
+"""
+
+import glob
+import os
+import sys
+
+import numpy as np
+import pyarrow as pa
+import pyarrow.parquet as pq
+import pytest
+import ray
+
+import crawler_ray.pipelines.crawl as crawl_mod
+from crawler_ray.fetchsim import FetchPolicy
+from crawler_ray.oracle import run_oracle
+from crawler_ray.pipelines.crawl import CrawlConfig, crawl, read_crawled, read_order
+from crawler_ray.stages.fetch import META_SCHEMA, combined_round
+from crawler_ray.state.seen import (
+    STATUS_NAMES,
+    SeenHost,
+    SeenShardLocal,
+    make_shards,
+    seen_hosts,
+)
+from crawler_ray.urlkit import IncludePatterns, url_hash
+from crawler_ray.webgen import ensure_web, ensure_web_sharded
+
+N_PAGES, N_HOSTS, N_CORPUS_SHARDS = 300, 12, 4
+
+FETCH = (1, 3, 16)
+SEEN = (1, 3, 6, 8)
+DOCS = (1, 4, 32)
+# every (seen, fetch) pair, docs = (i_seen + i_fetch) % 3: each pair of
+# the three axes occurs at least once in 12 crawls
+GRID = [
+    (FETCH[i_f], SEEN[i_s], DOCS[(i_s + i_f) % 3], (i_s + i_f) % 2 == 0)
+    for i_s in range(len(SEEN))
+    for i_f in range(len(FETCH))
+]
+
+
+@pytest.fixture(scope="module")
+def webs(tmp_path_factory):
+    cache = str(tmp_path_factory.mktemp("web"))
+    return {
+        "flat": ensure_web(N_PAGES, N_HOSTS, seed=5, cache_dir=cache),
+        "sharded": ensure_web_sharded(
+            N_PAGES, N_HOSTS, N_CORPUS_SHARDS, seed=5, cache_dir=cache
+        ),
+    }
+
+
+@pytest.fixture(scope="module")
+def policy():
+    return FetchPolicy(include=IncludePatterns(domain_patterns=frozenset([".test"])))
+
+
+def _replay_seen(run_dir: str) -> dict[str, str]:
+    seen: dict[str, str] = {}
+    for rdir in sorted(glob.glob(os.path.join(run_dir, "round_*"))):
+        for f in sorted(glob.glob(os.path.join(rdir, "seen_delta", "*.parquet"))):
+            t = pq.read_table(f, columns=["url", "status"])
+            for u, c in zip(t["url"].to_pylist(), t["status"].to_pylist()):
+                if c == 0:
+                    seen.pop(u, None)
+                else:
+                    seen[u] = STATUS_NAMES[c]
+    return seen
+
+
+def test_shard_shapes_match_oracle(ray_session, webs, policy, tmp_path, monkeypatch):
+    # 4 rows per task: 300-page rounds fold fetch and docs tasks alike
+    monkeypatch.setattr(crawl_mod, "ROWS_PER_TASK", 4)
+    spec = webs["flat"][0]
+    seeds = [spec.url_of(i) for i in range(3)]
+    golden = run_oracle(spec, policy, seeds)
+    want_order = sorted(golden.order)
+    want_docs = sorted(
+        (d["url"], d["round"], d["host"], d["seq"]) for d in golden.crawled
+    )
+    for n_fetch, n_seen, n_docs, sharded in GRID:
+        shape = (n_fetch, n_seen, n_docs, sharded)
+        spec, corpus = webs["sharded" if sharded else "flat"]
+        run_dir = str(tmp_path / "-".join(map(str, shape)))
+        shards = make_shards(n_seen, 1 << 10)
+        crawl(
+            CrawlConfig(
+                spec=spec, corpus_path=corpus, seeds=seeds, policy=policy,
+                run_dir=run_dir, n_fetch_shards=n_fetch, n_seen_shards=n_seen,
+                n_docs_groups=n_docs, seen_capacity_per_shard=1 << 10,
+            ),
+            shards=shards,
+        )
+        # a whole crawl leaves the seen hosts without pandas
+        assert not any(ray.get([
+            h.__ray_call__.remote(lambda _: "pandas" in sys.modules)
+            for h in seen_hosts(shards)
+        ])), shape
+        order = read_order(run_dir)
+        got_order = list(
+            zip(*(order[c].to_pylist() for c in ("round", "host", "seq", "url")))
+        )
+        assert got_order == want_order, shape
+        assert _replay_seen(run_dir) == golden.seen, shape
+        docs = pa.concat_tables(
+            pq.read_table(f, columns=["url", "round", "host", "seq"])
+            for f in glob.glob(os.path.join(run_dir, "round_*", "docs", "*.parquet"))
+        )
+        got_docs = sorted(
+            zip(*(docs[c].to_pylist() for c in ("url", "round", "host", "seq")))
+        )
+        assert got_docs == want_docs, shape
+        # a round never starts more docs tasks than corpus shards
+        if sharded:
+            for rdir in glob.glob(os.path.join(run_dir, "round_*")):
+                assert len(os.listdir(os.path.join(rdir, "docs"))) <= N_CORPUS_SHARDS
+
+
+def _meta_batch(rows: list[tuple]) -> pa.RecordBatch:
+    return pa.RecordBatch.from_pylist(
+        [dict(zip(META_SCHEMA.names, r)) for r in rows], schema=META_SCHEMA
+    )
+
+
+def test_host_combined_equals_per_shard(ray_session, tmp_path):
+    """A host owning shards 1 and 4 of 6 writes, for each, the frontier
+    and delta bytes the per-shard body writes from that shard's metas."""
+    n_seen, own, n_fetch, rnd = 6, [1, 4], 3, 2
+    rng = np.random.default_rng(0)
+    urls = [f"http://h{k % 5}.test/p{k}" for k in range(400)]
+    urls = [u for u in urls if url_hash(u) % n_seen in own]
+    hashes = {u: url_hash(u) for u in urls}
+    # pre-state: a third of the URLs already known (in progress)
+    known = urls[::3]
+    # three fetch tasks' metas: terminal mutations of known URLs, then
+    # candidate links, some repeated across tasks (within-round dedup)
+    tasks = []
+    for t in range(3):
+        rows = []
+        for seq, u in enumerate(known[t::3]):
+            p_host = f"h{t}.test"
+            rows.append(("mut", u, "", p_host, seq, 0, 0))
+            rows.append(("mut", u, "", p_host, seq, 1, int(rng.choice([2, 3]))))
+        for idx, k in enumerate(rng.choice(len(urls), size=60)):
+            u = urls[k]
+            rows.append(
+                ("link", u, u.split("/")[2], f"h{t}.test", idx // 7, idx, 0)
+            )
+        tasks.append(_meta_batch([r + (hashes[r[1]],) for r in rows]))
+
+    inserts = []
+    for i in own:
+        mine = [u for u in known if hashes[u] % n_seen == i]
+        inserts.append((i, mine, np.array([hashes[u] for u in mine], np.uint64)))
+
+    host_dir, shard_dir = str(tmp_path / "host"), str(tmp_path / "shard")
+    host = SeenHost.remote(own, 1 << 10, n_seen)
+    ray.get([
+        host.call.remote(i, "check_and_insert", us, hs) for i, us, hs in inserts
+    ])
+    host_stats = ray.get(
+        host.combined_round.remote(
+            n_fetch, host_dir, rnd, os.path.join(host_dir, "next"), *tasks
+        )
+    )
+    locals_ = {i: SeenShardLocal(i, 1 << 10) for i in own}
+    for i, us, hs in inserts:
+        locals_[i].check_and_insert(us, hs)
+    shard_stats = []
+    for i in own:
+        metas = [
+            pa.Table.from_batches([m.filter(m["uhash"].to_numpy() % n_seen == i)])
+            for m in tasks
+        ]
+        shard_stats.append(
+            combined_round(
+                locals_[i], n_fetch, shard_dir, rnd,
+                os.path.join(shard_dir, "next"), metas,
+            )
+        )
+
+    assert [s["sshard"] for s in host_stats] == own
+    # the seen host runs the round-end phase without pandas
+    assert not ray.get(host.__ray_call__.remote(lambda _: "pandas" in sys.modules))
+    assert [s["n_new"] for s in host_stats] == [s["n_new"] for s in shard_stats]
+    assert any(s["n_new"] for s in host_stats)
+    rel = sorted(
+        os.path.relpath(f, host_dir)
+        for f in glob.glob(os.path.join(host_dir, "**", "*.parquet"), recursive=True)
+    )
+    assert rel == [
+        "next/from_00001.parquet", "next/from_00004.parquet",
+        "round_00002/seen_delta/shard-00001.parquet",
+        "round_00002/seen_delta/shard-00004.parquet",
+    ]
+    for r in rel:
+        with open(os.path.join(host_dir, r), "rb") as a, open(
+            os.path.join(shard_dir, r), "rb"
+        ) as b:
+            assert a.read() == b.read(), r
+
+
+def test_read_crawled_empty_schema_matches(ray_session, webs, policy, tmp_path):
+    spec, corpus = webs["flat"]
+    base = dict(spec=spec, corpus_path=corpus, policy=policy, limit=5)
+    crawl(CrawlConfig(seeds=[spec.url_of(0)], run_dir=str(tmp_path / "a"), **base))
+    # no seed passes the include gate: the run stores nothing
+    crawl(CrawlConfig(seeds=["http://x.example/"], run_dir=str(tmp_path / "b"), **base))
+    full = read_crawled(str(tmp_path / "a"))
+    empty = read_crawled(str(tmp_path / "b"))
+    assert full.count() == 5 and empty.count() == 0
+    assert empty.schema().base_schema == full.schema().base_schema
