@@ -54,7 +54,6 @@ def _ensure_crawl_run(sf_dir: str) -> tuple[str, Any]:
             run_dir=run_dir,
             n_fetch_shards=32,
             n_seen_shards=8,
-            fetch_concurrency=4,
         )
         crawl(cfg)
     return run_dir, spec

@@ -14,7 +14,7 @@ Initialisation.hs:28-36, Main.hs:22-38) onto the Ray engine:
   -wf DIR           also write WARC output       (Output.hs:23-53)
 
 plus engine options (--run-dir, --resume, --pages, --hosts, --seed,
---fetch-shards, --seen-shards, --concurrency, --politeness-delay,
+--fetch-shards, --seen-shards, --politeness-delay,
 --no-robots, --num-cpus). The "web" is the deterministic synthetic corpus;
 point ``fetch`` at a real HTTP client to crawl a live web.
 """
@@ -45,7 +45,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=42)
     p.add_argument("--fetch-shards", type=int, default=32)
     p.add_argument("--seen-shards", type=int, default=8)
-    p.add_argument("--concurrency", type=int, default=4)
     p.add_argument("--politeness-delay", type=float, default=0.0)
     p.add_argument("--no-robots", action="store_true")
     p.add_argument("--max-rounds", type=int, default=50)
@@ -121,7 +120,6 @@ def main(argv: list[str] | None = None) -> int:
         max_rounds=args.max_rounds,
         n_fetch_shards=args.fetch_shards,
         n_seen_shards=args.seen_shards,
-        fetch_concurrency=args.concurrency,
         politeness_delay=args.politeness_delay,
     )
     if not args.resume and os.path.isdir(args.run_dir):

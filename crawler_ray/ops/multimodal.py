@@ -1,14 +1,9 @@
 """Multimodal column processing: opaque binary payloads + typed metadata.
 
-Pattern (per the build brief): image/audio/video live as ``binary`` columns;
-decode / feature-extract / resize / frame-sample are actor-pool
-``map_batches`` stages with small batch sizes (payload bytes dominate block
-size). The image path is REAL end-to-end against the synthetic corpus'
-deterministic codecs (crawler_ray.codecs); audio/video decoding has no
-library in this container, so those stages are stubs with real Ray-side
-plumbing (schema, actor signature, batch handling) that raise
-NotImplementedError at the decode call — swap in pyav/librosa on a real
-deployment.
+Pattern (per the build brief): images live as ``binary`` columns; decode /
+resize are ``map_batches`` stages with small batch sizes (payload bytes
+dominate block size). The image path is REAL end-to-end against the
+synthetic corpus' deterministic codecs (crawler_ray.codecs).
 """
 
 from __future__ import annotations
@@ -185,56 +180,6 @@ def image_thumbnails(sf_dir: str):
     return ds.map_batches(
         ImageResizeStage(), batch_format="pyarrow", batch_size=256
     )
-
-
-class AudioFeatureStage:
-    """STUB: audio decode (no audio library in this container). The Ray
-    plumbing — binary column in, feature schema out, actor-pool shape — is
-    real; the decode call raises."""
-
-    def __init__(self):
-        self.sample_rate = 16_000
-
-    def _decode(self, data: bytes) -> np.ndarray:
-        raise NotImplementedError(
-            "audio decode requires librosa/pyav (not in this container); "
-            "swap _decode with a real decoder on deployment"
-        )
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        feats = [self._decode(b) for b in batch["bytes"].to_pylist()]
-        return pa.table(
-            {
-                "clip_id": batch["clip_id"],
-                "rms": pa.array([float(np.sqrt((f**2).mean())) for f in feats]),
-            }
-        )
-
-
-class VideoFrameSampleStage:
-    """STUB: video frame sampling (no video library in this container)."""
-
-    def __init__(self, every_n: int = 30):
-        self.every_n = every_n
-
-    def _frames(self, data: bytes):
-        raise NotImplementedError(
-            "video decode requires pyav/ffmpeg (not in this container)"
-        )
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        rows_id, rows_frame = [], []
-        for vid, data in zip(batch["video_id"].to_pylist(), batch["bytes"].to_pylist()):
-            for i, frame in enumerate(self._frames(data)):
-                if i % self.every_n == 0:
-                    rows_id.append(vid)
-                    rows_frame.append(frame.tobytes())
-        return pa.table(
-            {
-                "video_id": pa.array(rows_id, pa.string()),
-                "frame": pa.array(rows_frame, pa.binary()),
-            }
-        )
 
 
 # --- phash near-duplicate search ---------------------------------------

@@ -85,6 +85,7 @@ from ..state.seen import make_shards, seen_hosts
 from ..stages.fetch import (
     DOCS_SCHEMA,
     FRONTIER_SCHEMA,
+    ORDER_SCHEMA,
     fetch_shard,
     write_docs_group,
     write_frontier_shards,
@@ -114,9 +115,6 @@ class CrawlConfig:
     max_rounds: int = 50
     n_fetch_shards: int = 16
     n_seen_shards: int = 8
-    # parallelism is one task per fetch shard (n_fetch_shards); this field
-    # is kept for CLI/API compatibility but no longer drives a pool
-    fetch_concurrency: int | tuple = 4
     politeness_delay: float = 0.0
     record_metrics: bool = False
     # run the per-row payload invariant inline in the fetch stage
@@ -622,7 +620,7 @@ def _check_run_config(cfg) -> None:
     deltas written with 8 shards into a 16-shard routing silently
     re-fetches done URLs (duplicate docs, non-byte-identical run), and a
     different web spec is a different universe entirely. Task-granularity
-    knobs (fetch shards, concurrency, limits) may legitimately change
+    knobs (fetch shards, docs groups, limits) may legitimately change
     across resumes and are NOT pinned."""
     fp = {
         "n_seen_shards": cfg.n_seen_shards,
@@ -812,15 +810,7 @@ def read_order(run_dir: str) -> pa.Table:
         # typed empty table — the bare-list fallback produced null-typed
         # columns, breaking schema-sensitive consumers on the empty-run
         # edge (review r5)
-        return pa.table(
-            {
-                "url": pa.array([], pa.string()),
-                "host": pa.array([], pa.string()),
-                "seq": pa.array([], pa.int64()),
-                "detail": pa.array([], pa.string()),
-                "round": pa.array([], pa.int32()),
-            }
-        )
+        return ORDER_SCHEMA.append(pa.field("round", pa.int32())).empty_table()
     out = pa.concat_tables(rows)
     return out.sort_by(
         [("round", "ascending"), ("host", "ascending"), ("seq", "ascending")]

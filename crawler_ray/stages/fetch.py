@@ -118,6 +118,17 @@ META_SCHEMA = pa.schema(
     ]
 )
 
+# crawl-order files (round_*/order/part-*.parquet): one row per processed
+# frontier URL, in per-host seq order; read_order appends the round
+ORDER_SCHEMA = pa.schema(
+    [
+        ("url", pa.string()),
+        ("host", pa.string()),
+        ("seq", pa.int64()),
+        ("detail", pa.string()),  # "<status>:<reason>"
+    ]
+)
+
 # stored-doc files (round_*/docs/part-*.parquet); write_docs_group appends
 # an int8 ``payload_ok`` column when the run verifies payloads
 DOCS_SCHEMA = pa.schema(
@@ -513,13 +524,12 @@ def fetch_shard(
     _t_cpu = time.process_time() - _cpu0
     _atomic_write(
         os.path.join(order_dir, f"part-{shard:05d}.parquet"),
-        pa.table(
-            {
-                "url": pa.array([r[0] for r in order_rows], pa.string()),
-                "host": pa.array([r[1] for r in order_rows], pa.string()),
-                "seq": pa.array([r[2] for r in order_rows], pa.int64()),
-                "detail": pa.array([r[3] for r in order_rows], pa.string()),
-            }
+        pa.Table.from_arrays(
+            [
+                pa.array([r[i] for r in order_rows], f.type)
+                for i, f in enumerate(ORDER_SCHEMA)
+            ],
+            schema=ORDER_SCHEMA,
         ),
     )
     if log_rows:

@@ -5,9 +5,13 @@ fallback. Both filters here are accelerators ONLY: a positive is always
 confirmed against the shard's exact set (SURVEY.md §2.7 — "membership truth
 stays exact per shard"), so false positives cannot corrupt the crawl; false
 negatives are impossible (standard bloom/cuckoo property as long as the
-cuckoo filter never evicts-to-loss, which we detect and flag).
+cuckoo filter never evicts-to-loss, which we detect and flag). Neither
+filter supports delete: a shard's deleted keys leave a stale "maybe" that
+the exact set turns down. The seen shard builds its bloom only when its
+cuckoo degrades, from the exact set's hashes (state/seen.py).
 
-Vectorized over uint64 key arrays (numpy) — these sit on the hot dedup path.
+Vectorized over uint64 key arrays (numpy) — these sit on the hot dedup path;
+the cuckoo's rare one-key displacement loop runs on Python ints.
 """
 
 from __future__ import annotations
@@ -17,6 +21,7 @@ import numpy as np
 _FP_BITS = 16  # cuckoo fingerprint width
 _BUCKET_SLOTS = 4
 _MAX_KICKS = 128
+_U64 = (1 << 64) - 1
 
 
 def _mix(h: np.ndarray) -> np.ndarray:
@@ -28,6 +33,15 @@ def _mix(h: np.ndarray) -> np.ndarray:
     h *= np.uint64(0xC4CEB9FE1A85EC53)
     h ^= h >> np.uint64(33)
     return h
+
+
+def _mix_int(h: int) -> int:
+    """``_mix`` on one Python int (the displacement loop's scalar path)."""
+    h ^= h >> 33
+    h = (h * 0xFF51AFD7ED558CCD) & _U64
+    h ^= h >> 33
+    h = (h * 0xC4CEB9FE1A85EC53) & _U64
+    return h ^ (h >> 33)
 
 
 class BloomFilter:
@@ -59,8 +73,7 @@ class BloomFilter:
 
 class CuckooFilter:
     """Partial-key cuckoo filter (Fan et al., CoNEXT'14): 4-slot buckets,
-    16-bit fingerprints, displacement with a kick limit. Supports delete
-    (needed if a shard ever retracts an in-progress entry). On insert
+    16-bit fingerprints, displacement with a kick limit. On insert
     overflow, ``degraded`` flips True and the caller should consult the
     bloom fallback / exact set instead of trusting negatives. A degraded
     filter is read-only: ``add_many`` returns at once, since every further
@@ -123,28 +136,32 @@ class CuckooFilter:
                 placed[first] = True
                 pending = np.concatenate([pending[~free], cand[~placed]])
         for j in pending:  # both buckets full: displacement path
-            self._add_one(int(i1s[j]), fps[j])
+            self._add_one(int(i1s[j]), int(fps[j]))
             if self.degraded:
                 return
 
-    def _add_one(self, i1: int, fp: np.uint16) -> None:
-        i2 = int(self._alt_index(np.array([i1]), np.array([fp]))[0])
-        for i in (i1, i2):
-            row = self.table[i]
-            empty = np.nonzero(row == 0)[0]
-            if empty.size:
-                row[empty[0]] = fp
-                return
+    def _alt_index_int(self, i: int, fp: int) -> int:
+        return (i ^ _mix_int(fp)) % self.n_buckets
+
+    def _place(self, i: int, fp: int) -> bool:
+        row = self.table[i].tolist()
+        if 0 not in row:
+            return False
+        self.table[i, row.index(0)] = fp
+        return True
+
+    def _add_one(self, i1: int, fp: int) -> None:
+        """One key into a full neighbourhood, on Python ints: 1-element
+        numpy calls cost ~30 us per kick and a degrading insert makes 128."""
+        if self._place(i1, fp) or self._place(self._alt_index_int(i1, fp), fp):
+            return
         # displace
         i = i1
         for _ in range(_MAX_KICKS):
             slot = int(self._rng.integers(_BUCKET_SLOTS))
-            fp, self.table[i, slot] = self.table[i, slot], fp
-            i = int(self._alt_index(np.array([i]), np.array([fp]))[0])
-            row = self.table[i]
-            empty = np.nonzero(row == 0)[0]
-            if empty.size:
-                row[empty[0]] = fp
+            fp, self.table[i, slot] = int(self.table[i, slot]), fp
+            i = self._alt_index_int(i, fp)
+            if self._place(i, fp):
                 return
         self.degraded = True  # caller must not trust negatives anymore
 
@@ -157,14 +174,3 @@ class CuckooFilter:
         in1 = (self.table[i1] == fps[:, None]).any(axis=1)
         in2 = (self.table[i2] == fps[:, None]).any(axis=1)
         return in1 | in2
-
-    def delete_many(self, keys: np.ndarray) -> None:
-        fps = self._fingerprint(keys)
-        i1s = self._index1(keys)
-        i2s = self._alt_index(i1s, fps)
-        for fp, i1, i2 in zip(fps, i1s, i2s):
-            for i in (int(i1), int(i2)):
-                slots = np.nonzero(self.table[i] == fp)[0]
-                if slots.size:
-                    self.table[i, slots[0]] = 0
-                    break

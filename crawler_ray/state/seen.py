@@ -3,11 +3,14 @@
 The reference keeps three STM containers (in-progress / completed / failed,
 /root/reference/src/Types.hs:34-36) mutated atomically by every worker
 (Crawl.hs:194-212). Distributed equivalent (SURVEY.md §2.4 T2): shard =
-``url_hash % num_shards``. Each shard fronts an exact dict with a cuckoo
-filter so the common negative — "never seen this URL" — is answered from
-the filter without touching the dict. Once the cuckoo degrades (a full
-table evicted a fingerprint) it is read-only and the bloom, which holds
-every key ever inserted, answers instead.
+``url_hash % num_shards``. Each shard keeps ONE per-URL structure, an
+exact dict url -> ``url_hash << 2 | status``, fronted by a cuckoo filter
+so the common negative — "never seen this URL" — is answered from the
+filter without touching the dict. The guard snapshot (``snapshot_hashes``)
+is derived from the dict's values. Once the cuckoo degrades (a full table
+evicted a fingerprint) it is read-only, and a bloom filter is built in
+that moment from the dict's hashes; it takes every later new key and
+answers instead. Before degradation no bloom exists.
 
 The shards live in ``min(num_shards, cluster CPUs)`` host actors: host h
 owns shards i ≡ h (mod hosts). Ray starts at most one worker process per
@@ -64,32 +67,43 @@ class SeenShardLocal:
 
     def __init__(self, shard_id: int, capacity: int = 1 << 17):
         self.shard_id = shard_id
-        self.status: dict[str, int] = {}
+        # the exact tier, the one per-URL structure: url -> hash << 2 | status.
+        # One int keeps the hash that ``snapshot_hashes`` and a bloom built
+        # at degradation need (74 B/URL at 100k URLs, against 80 for a
+        # status dict plus a hash set and 94 for a (status, hash) tuple).
+        self._seen: dict[str, int] = {}
+        self._capacity = capacity
         self.cuckoo = CuckooFilter(capacity)
-        self.bloom = BloomFilter(max(1024, capacity), 0.01)
+        self.bloom: BloomFilter | None = None  # built when the cuckoo degrades
         self._delta: list[tuple[str, int]] = []
-        # url-hash mirror of ``status``'s key set, serving the per-round
-        # read-only guard snapshot (``snapshot_hashes``): fetch tasks
-        # answer the meta-refresh trap guard from a plasma-shared sorted
-        # array instead of a blocking actor round-trip. Hash-keyed like
-        # the fronting filters; a 64-bit blake2b collision (odds ~n^2/2^64
-        # per shard) could flip one guard answer — the exact dict remains
-        # the authority for every mutation path.
-        self._hset: set[int] = set()
 
     # -- internal -------------------------------------------------------
     def _maybe_in(self, hashes: np.ndarray) -> np.ndarray:
-        if self.cuckoo.degraded:  # it may have lost keys; the bloom has all
+        if self.bloom is not None:  # the cuckoo degraded and may have lost keys
             return self.bloom.contains_many(hashes)
         return self.cuckoo.contains_many(hashes)
 
+    def _hashes(self) -> np.ndarray:
+        return np.array([v >> 2 for v in self._seen.values()], dtype=np.uint64)
+
     def _add_to_filters(self, new_hashes: list) -> None:
         """Filter membership is order-insensitive, so new keys go in as ONE
-        batch (a 1-element add_many per URL measured ~100us/row)."""
-        if new_hashes:
-            arr = np.asarray(new_hashes, dtype=np.uint64)
-            self.cuckoo.add_many(arr)
+        batch (a 1-element add_many per URL measured ~100us/row). Callers
+        update ``_seen`` first, so the insert that degrades the cuckoo
+        builds the bloom from every live key, this batch's included. A key
+        deleted earlier is absent from ``_seen`` and goes into the bloom
+        when it comes back; until then the exact tier answers "new" for it
+        whatever a filter says."""
+        if not new_hashes:
+            return
+        arr = np.asarray(new_hashes, dtype=np.uint64)
+        if self.bloom is not None:
             self.bloom.add_many(arr)
+            return
+        self.cuckoo.add_many(arr)
+        if self.cuckoo.degraded:
+            self.bloom = BloomFilter(max(1024, self._capacity), 0.01)
+            self.bloom.add_many(self._hashes())
 
     # -- round API ------------------------------------------------------
     def apply_mutations(self, urls: list[str], hashes: np.ndarray, ops: list[int]) -> None:
@@ -99,19 +113,17 @@ class SeenShardLocal:
         in-progress, Crawl.hs:173 — the oracle pops whatever status the URL
         has); op COMPLETED/FAILED = set that status."""
         new_hashes = []
-        for u, h, op in zip(urls, hashes, ops):
+        for u, h, op in zip(urls, np.asarray(hashes, np.uint64).tolist(), ops):
             if op == 0:
-                if u in self.status:
-                    del self.status[u]
+                if self._seen.pop(u, None) is not None:
                     self._delta.append((u, 0))
-                    self._hset.discard(int(h))
                 # filters may keep a stale 'maybe'; the exact dict decides
             else:
-                if self.status.get(u) is None:
+                if u not in self._seen:
                     new_hashes.append(h)
-                self.status[u] = int(op)
-                self._delta.append((u, int(op)))
-                self._hset.add(int(h))
+                op = int(op)
+                self._seen[u] = h << 2 | op
+                self._delta.append((u, op))
         self._add_to_filters(new_hashes)
 
     def check_and_insert(self, urls: list[str], hashes: np.ndarray) -> list[bool]:
@@ -119,16 +131,15 @@ class SeenShardLocal:
         in_progress (enqueue to frontier); False = already done."""
         out = []
         new_hashes = []
-        maybe = self._maybe_in(hashes.astype(np.uint64))
-        for u, h, m in zip(urls, hashes, maybe):
-            if m and u in self.status:
+        hashes = hashes.astype(np.uint64)
+        for u, h, m in zip(urls, hashes.tolist(), self._maybe_in(hashes).tolist()):
+            if m and u in self._seen:
                 out.append(False)
             else:
-                if self.status.get(u) is None:
+                if u not in self._seen:
                     new_hashes.append(h)
-                self.status[u] = IN_PROGRESS
+                self._seen[u] = h << 2 | IN_PROGRESS
                 self._delta.append((u, IN_PROGRESS))
-                self._hset.add(int(h))
                 out.append(True)
         self._add_to_filters(new_hashes)
         return out
@@ -159,22 +170,23 @@ class SeenShardLocal:
 
     def restore(self, table: pa.Table | pa.RecordBatch) -> None:
         """Replay one delta table (a record batch when sent to a host). A
-        URL absent from ``status`` at its row is new to the filters (hashed
-        once, batched into one insert); a present one is already in the
-        filters and ``_hset``."""
+        URL absent from the exact tier at its row is hashed once and new to
+        the filters (batched into one insert); a present one keeps its
+        stored hash."""
         from ..urlkit import url_hash
 
         new_hashes = []
         for u, c in zip(table["url"].to_pylist(), table["status"].to_pylist()):
             if c == 0:
-                if self.status.pop(u, None) is not None:
-                    self._hset.discard(url_hash(u))
+                self._seen.pop(u, None)
                 continue
-            if u not in self.status:
+            v = self._seen.get(u)
+            if v is None:
                 h = url_hash(u)
                 new_hashes.append(h)
-                self._hset.add(h)
-            self.status[u] = int(c)
+                self._seen[u] = h << 2 | c
+            else:
+                self._seen[u] = v & ~3 | c
         self._add_to_filters(new_hashes)
         self._delta = []
 
@@ -186,22 +198,25 @@ class SeenShardLocal:
         actor call (which serialized every fetch task against this
         actor's mailbox at round start; measured ~12 core-s per large
         round, with multi-second tail stalls when a round's deferred
-        docs/delta work kept the actor busy)."""
-        return np.sort(np.fromiter(self._hset, dtype=np.uint64, count=len(self._hset)))
+        docs/delta work kept the actor busy). Hash-keyed like the
+        filters: a 64-bit blake2b collision (odds ~n^2/2^64 per shard)
+        could flip one guard answer — the exact dict remains the
+        authority for every mutation path."""
+        return np.sort(self._hashes())
 
     def counts(self) -> dict[str, int]:
-        vals = list(self.status.values())
+        statuses = [v & 3 for v in self._seen.values()]
         return {
-            "total": len(vals),
-            **{name: vals.count(code) for code, name in STATUS_NAMES.items()},
+            "total": len(statuses),
+            **{name: statuses.count(code) for code, name in STATUS_NAMES.items()},
             "cuckoo_degraded": int(self.cuckoo.degraded),
         }
 
     def full_table(self) -> pa.RecordBatch:
         return pa.record_batch(
             {
-                "url": pa.array(list(self.status.keys()), pa.string()),
-                "status": pa.array(list(self.status.values()), pa.int8()),
+                "url": pa.array(list(self._seen.keys()), pa.string()),
+                "status": pa.array([v & 3 for v in self._seen.values()], pa.int8()),
             }
         )
 

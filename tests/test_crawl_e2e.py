@@ -40,7 +40,6 @@ def policy():
 
 
 def _run_engine(web, policy, tmp, seeds, limit=None, **kw):
-    kw.setdefault("fetch_concurrency", 2)
     spec, corpus_path = web
     cfg = CrawlConfig(
         spec=spec,
@@ -143,11 +142,9 @@ def test_determinism_across_shard_counts(ray_session, web, policy, tmp_path):
     seeds = [spec.url_of(i) for i in range(3)]
     s1, seen1 = _run_engine(
         web, policy, tmp_path / "a", seeds, n_fetch_shards=4, n_seen_shards=2,
-        fetch_concurrency=2,
     )
     s2, seen2 = _run_engine(
         web, policy, tmp_path / "b", seeds, n_fetch_shards=32, n_seen_shards=16,
-        fetch_concurrency=3,
     )
     # more than 32 fetch shards: two shards share each lineage row group
     s3, seen3 = _run_engine(
@@ -178,7 +175,7 @@ def test_politeness_no_host_overlap(ray_session, web, policy, tmp_path):
     seeds = [spec.url_of(i) for i in range(4)]
     _run_engine(
         web, policy, tmp_path / "run", seeds,
-        record_metrics=True, politeness_delay=0.0, fetch_concurrency=2,
+        record_metrics=True, politeness_delay=0.0,
     )
     files = glob.glob(str(tmp_path / "run" / "round_*" / "metrics" / "*.parquet"))
     assert files

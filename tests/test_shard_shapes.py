@@ -221,3 +221,7 @@ def test_read_crawled_empty_schema_matches(ray_session, webs, policy, tmp_path):
     empty = read_crawled(str(tmp_path / "b"))
     assert full.count() == 5 and empty.count() == 0
     assert empty.schema().base_schema == full.schema().base_schema
+    # the crawl order's empty fallback carries the written files' schema
+    order_full, order_empty = read_order(str(tmp_path / "a")), read_order(str(tmp_path / "b"))
+    assert order_full.num_rows > 0 and order_empty.num_rows == 0
+    assert order_empty.schema == order_full.schema
