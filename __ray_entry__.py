@@ -36,14 +36,15 @@ def _ensure_crawl_run(sf_dir: str) -> tuple[str, Any]:
     from crawler_ray.fetchsim import FetchPolicy
     from crawler_ray.pipelines.crawl import CrawlConfig, crawl
     from crawler_ray.urlkit import IncludePatterns
-    from crawler_ray.webgen import ensure_web
+    from crawler_ray.webgen import WebSpec, ensure_web_sharded
 
     n_pages, n_hosts = _crawl_params(sf_dir)
-    spec, corpus_path = ensure_web(n_pages, n_hosts, seed=42)
+    spec = WebSpec(n_pages, n_hosts, seed=42)
     # v4: cache key versioned — bumped whenever engine semantics or the
     # generated web content change (v4: planted image near-dups)
     run_dir = os.path.join(_CACHE, f"crawlrun_v4_{n_pages}_{n_hosts}")
     if not os.path.exists(os.path.join(run_dir, "RUN_MANIFEST.json")):
+        _, corpus_path = ensure_web_sharded(n_pages, n_hosts, 32, seed=42)
         cfg = CrawlConfig(
             spec=spec,
             corpus_path=corpus_path,

@@ -153,7 +153,6 @@ def run_bench() -> dict:
     from crawler_ray.fetchsim import FetchPolicy
     from crawler_ray.pipelines.crawl import CrawlConfig, crawl
     from crawler_ray.urlkit import IncludePatterns
-    from crawler_ray.webgen import ensure_web
 
     # warm the page cache (untimed) so we measure compute+shuffle, not
     # first-touch disk reads — and so both scaling levels start equal

@@ -79,7 +79,7 @@ def main(argv: list[str] | None = None) -> int:
     from .pipelines.checkpoint import resume_crawl
     from .pipelines.crawl import CrawlConfig, crawl, read_crawled
     from .urlkit import IncludePatterns
-    from .webgen import ensure_web
+    from .webgen import ensure_web_sharded
 
     seeds = list(args.seeds)
     for f in args.seed_files:
@@ -101,7 +101,9 @@ def main(argv: list[str] | None = None) -> int:
         with open(args.directions_file) as fh:
             directions = tuple(parse_href_directions(fh.read()))
 
-    spec, corpus_path = ensure_web(args.pages, args.hosts, seed=args.seed)
+    spec, corpus_path = ensure_web_sharded(
+        args.pages, args.hosts, args.fetch_shards, seed=args.seed
+    )
     policy = FetchPolicy(
         include=IncludePatterns(
             url_patterns=frozenset(url_pats), domain_patterns=frozenset(dom_pats)

@@ -639,171 +639,36 @@ GROUP BY a.o_orderkey
 
 
 def median_price_by_priority(sf_dir: str):
-    """EXACT distributed median (``quantile_disc(0.5)``) per group via
-    iterative histogram selection — the scale shape for exact order
-    statistics (no global sort, driver sees only counters):
+    """EXACT distributed median (``quantile_disc(0.5)``) per group: the
+    multi-quantile selector at p50, whose rank ceil(50n/100) = ceil(n/2)
+    is the median's."""
+    out = price_quantiles_by_priority(sf_dir, q_pcts=(50,))
+    return out.drop(columns="q_pct").rename(columns={"value_cents": "median_cents"})
+
+
+def price_quantiles_by_priority(sf_dir: str, q_pcts=(25, 50, 75)):
+    """EXACT grouped MULTI-quantile (``quantile_disc`` at p25/p50/p75)
+    via iterative histogram selection — the scale shape for exact order
+    statistics (no global sort, driver sees only counters), with one
+    selector STATE per (group, quantile):
 
     - pass A: per-group (count, min, max) partial aggregation;
-    - pass B (per refinement level): per-group fixed-width histogram as a
-      map_batches partial -> bucketed-sum reduce (<= groups x 4096 rows);
-      the driver walks the cumulative counts to the bucket holding rank
-      ``ceil(n/2)`` and recurses on that bucket's (narrower) value range
+    - pass B (per refinement level): per-state fixed-width histogram as a
+      map_batches partial -> bucketed-sum reduce (<= states x 4096 rows);
+      the driver walks the cumulative counts to the bucket holding the
+      state's rank and recurses on that bucket's (narrower) value range
       while it is still too big to collect;
     - final: integer-width-1 buckets answer directly; otherwise collect
       ONLY the target bucket's rows (expected n/4096 per group) and
       ``np.partition`` the tiny remainder.
 
-    Values are integer cents so Ray-vs-DuckDB equality is exact. Rank
-    convention matches DuckDB ``quantile_disc``: element ceil(q*n),
+    Each refinement level is ONE streaming pass over orders serving every
+    unresolved state (states of the same group share the row scan), so
+    the level count — not the quantile count — drives the number of
+    passes. Values are integer cents so Ray-vs-DuckDB equality is exact.
+    Rank convention matches DuckDB ``quantile_disc``: element ceil(q*n),
     1-indexed."""
     import math
-
-    import numpy as np
-
-    from .common import bucketed_sum
-
-    N_BUCKETS = 4096
-    COLLECT_CAP = 100_000
-
-    def cents_ds():
-        ds = _t(sf_dir, "orders", ["o_orderpriority", "o_totalprice"])
-
-        def conv(df: pd.DataFrame) -> pd.DataFrame:
-            return pd.DataFrame(
-                {
-                    "g": df["o_orderpriority"],
-                    "v": _cents(df["o_totalprice"].reset_index(drop=True)).values,
-                }
-            )
-
-        return ds.map_batches(conv, batch_format="pandas")
-
-    # pass A — per-group count/min/max (partials are groups-per-batch rows)
-    def stats_partial(df: pd.DataFrame) -> pd.DataFrame:
-        a = df.groupby("g")["v"].agg(["count", "min", "max"]).reset_index()
-        return a.rename(columns={"count": "n", "min": "lo", "max": "hi"})
-
-    st = (
-        cents_ds()
-        .map_batches(stats_partial, batch_format="pandas")
-        .to_pandas()
-        .groupby("g")
-        .agg(n=("n", "sum"), lo=("lo", "min"), hi=("hi", "max"))
-    )
-    # state per group: remaining rank k within current [lo, hi] range
-    state = {
-        g: {"k": int(-(-r["n"] // 2)), "lo": int(r["lo"]), "hi": int(r["hi"]) + 1}
-        for g, r in st.iterrows()
-    }
-
-    answers: dict[str, int] = {}
-    while True:
-        active = {
-            g: s
-            for g, s in state.items()
-            if g not in answers and s["hi"] - s["lo"] > 1
-        }
-        if not active:
-            break
-        ref = ray.put(
-            {
-                g: (s["lo"], max(1.0, (s["hi"] - s["lo"]) / N_BUCKETS))
-                for g, s in active.items()
-            }
-        )
-
-        def hist_partial(df: pd.DataFrame) -> pd.DataFrame:
-            rng = ray.get(ref)
-            out = []
-            for g, part in df.groupby("g", observed=True):
-                if g not in rng:
-                    continue
-                lo, w = rng[g]
-                v = part["v"].to_numpy()
-                v = v[(v >= lo) & (v < lo + w * N_BUCKETS)]
-                b = np.minimum(((v - lo) / w).astype(np.int64), N_BUCKETS - 1)
-                nz = np.bincount(b, minlength=N_BUCKETS)
-                idx = np.nonzero(nz)[0]
-                out.append(pd.DataFrame({"g": g, "b": idx, "cnt": nz[idx]}))
-            if not out:
-                return pd.DataFrame(
-                    {"g": pd.Series(dtype=str), "b": pd.Series(dtype="int64"),
-                     "cnt": pd.Series(dtype="int64")}
-                )
-            return pd.concat(out, ignore_index=True)
-
-        hist = bucketed_sum(
-            cents_ds().map_batches(hist_partial, batch_format="pandas"),
-            ["g", "b"],
-            ["cnt"],
-        ).to_pandas()
-        collect: dict[str, tuple[int, int]] = {}  # group -> (lo, hi) range
-        for g, s in active.items():
-            hg = hist[hist["g"] == g].sort_values("b")
-            cum = hg["cnt"].cumsum()
-            pos = int(np.searchsorted(cum.to_numpy(), s["k"]))
-            bucket = int(hg["b"].iloc[pos])
-            before = int(cum.iloc[pos - 1]) if pos > 0 else 0
-            in_bucket = int(hg["cnt"].iloc[pos])
-            lo, w = s["lo"], max(1.0, (s["hi"] - s["lo"]) / N_BUCKETS)
-            s["k"] -= before
-            # ceil, not floor: values are integers, and flooring a
-            # non-integer bucket edge readmits one integer strictly below
-            # the rank bucket that `before` already counted (k was
-            # decremented for it), shifting the selected rank by one on
-            # dense integer distributions (ADVICE r3, high)
-            s["lo"] = int(math.ceil(lo + bucket * w))
-            s["hi"] = min(int(lo + (bucket + 1) * w) + 1, s["hi"])
-            if s["hi"] - s["lo"] <= 1:
-                answers[g] = s["lo"]
-            elif in_bucket <= COLLECT_CAP:
-                collect[g] = (s["lo"], s["hi"])
-        if collect:
-            # ONE pass collects every resolved group's rank bucket
-            # (expected n/4096 rows per group); output is int-typed only
-            # (group index, value) so empty batches stay schema-clean
-            order = sorted(collect)
-            rref = ray.put([(g, *collect[g]) for g in order])
-
-            def pick(df: pd.DataFrame) -> pd.DataFrame:
-                rng = ray.get(rref)
-                gv = df["g"].to_numpy()
-                vv = df["v"].to_numpy()
-                gis, vs = [], []
-                for gi, (g, lo_, hi_) in enumerate(rng):
-                    m = (gv == g) & (vv >= lo_) & (vv < hi_)
-                    vs.append(vv[m])
-                    gis.append(np.full(int(m.sum()), gi, dtype=np.int64))
-                return pd.DataFrame(
-                    {"gi": np.concatenate(gis), "v": np.concatenate(vs)}
-                )
-
-            got = cents_ds().map_batches(pick, batch_format="pandas").to_pandas()
-            for gi, g in enumerate(order):
-                vals = got.loc[got["gi"] == gi, "v"].to_numpy()
-                answers[g] = int(np.partition(vals, state[g]["k"] - 1)[state[g]["k"] - 1])
-
-    for g, s in state.items():
-        answers.setdefault(g, s["lo"])
-    out = pd.DataFrame(
-        sorted(answers.items()), columns=["o_orderpriority", "median_cents"]
-    )
-    out["median_cents"] = out["median_cents"].astype("int64")
-    return out
-
-
-def price_quantiles_by_priority(sf_dir: str, q_pcts=(25, 50, 75)):
-    """EXACT grouped MULTI-quantile (``quantile_disc`` at p25/p50/p75) —
-    the median operator's iterative histogram selection generalized to
-    one selector STATE per (group, quantile). Each refinement level is
-    still ONE streaming pass over orders serving every unresolved state
-    (states of the same group share the row scan), so the level count —
-    not the quantile count — drives the number of passes. Rank
-    convention matches DuckDB: element ceil(q*n), 1-indexed. Driver sees
-    only counters; the collect pass reads only resolved rank buckets."""
-    import math
-
-    from .common import bucketed_sum
 
     N_BUCKETS = 4096
     COLLECT_CAP = 100_000
@@ -900,7 +765,11 @@ def price_quantiles_by_priority(sf_dir: str, q_pcts=(25, 50, 75)):
             in_bucket = int(hg["cnt"].iloc[pos])
             lo, w = s["lo"], max(1.0, (s["hi"] - s["lo"]) / N_BUCKETS)
             s["k"] -= before
-            # ceil, not floor (ADVICE r3 high — see median_price_by_priority)
+            # ceil, not floor: values are integers, and flooring a
+            # non-integer bucket edge readmits one integer strictly below
+            # the rank bucket that `before` already counted (k was
+            # decremented for it), shifting the selected rank by one on
+            # dense integer distributions (ADVICE r3, high)
             s["lo"] = int(math.ceil(lo + bucket * w))
             s["hi"] = min(int(lo + (bucket + 1) * w) + 1, s["hi"])
             if s["hi"] - s["lo"] <= 1:

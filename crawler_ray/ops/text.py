@@ -772,9 +772,9 @@ _DECON_POW = _DECON_B ** np.arange(DECON_K - 1, -1, -1, dtype=np.uint64)
 def _word_gram_hashes(ws: list[str], k: int) -> np.ndarray:
     """uint64 polynomial hash of every k-word window (vectorized: one
     process-stable hash per word, then a sliding-window dot product in
-    wrapping uint64 arithmetic). Hash equality is only a FILTER — every
-    hit is confirmed by string equality, so collisions cannot change the
-    result, only cost a (vanishingly rare) extra comparison."""
+    wrapping uint64 arithmetic). Hash equality is only a FILTER: every
+    hit is confirmed by string equality against ALL bench grams that share
+    the hash, so a collision costs an extra comparison, never a hit."""
     wh = pd.util.hash_array(np.asarray(ws, dtype=object)).astype(np.uint64)
     win = np.lib.stride_tricks.sliding_window_view(wh, k)
     return (win * _DECON_POW).sum(axis=1, dtype=np.uint64)
@@ -817,11 +817,12 @@ def _decontaminate_ds(docs, bench_gram_cap: int = 20_000_000):
             ws = _WORD.findall(t.lower())
             if len(ws) < DECON_K:
                 continue
+            # every window, not one per hash: two distinct grams that
+            # share a hash both stay (by_hash's sets dedupe repeats)
             hs = _word_gram_hashes(ws, DECON_K)
-            uh, idx = np.unique(hs, return_index=True)
-            hs_all.append(uh)
+            hs_all.append(hs)
             gs_all.extend(
-                " ".join(ws[i : i + DECON_K]) for i in idx
+                " ".join(ws[i : i + DECON_K]) for i in range(len(hs))
             )
         if not hs_all:
             return pd.DataFrame(
@@ -845,7 +846,7 @@ def _decontaminate_ds(docs, bench_gram_cap: int = 20_000_000):
     by_hash: dict[int, set] = {}
     for h, g in zip(bench["h"].to_numpy().view(np.uint64), bench["g"]):
         by_hash.setdefault(int(h), set()).add(g)
-    sorted_h = np.sort(bench["h"].to_numpy().view(np.uint64))
+    sorted_h = np.unique(bench["h"].to_numpy().view(np.uint64))
     ref = ray.put((sorted_h, by_hash))
 
     def scan(df: pd.DataFrame) -> pd.DataFrame:

@@ -81,6 +81,7 @@ import ray
 import ray.data as rd
 
 from ..fetchsim import FetchPolicy
+from ..sources.corpus import corpus_shards
 from ..state.seen import make_shards, seen_hosts
 from ..stages.fetch import (
     DOCS_SCHEMA,
@@ -91,7 +92,7 @@ from ..stages.fetch import (
     write_frontier_shards,
 )
 from ..urlkit import IncludePatterns, canonicalise, get_domain, url_hash
-from ..webgen import WebSpec
+from ..webgen import WebSpec, shard_of_host
 
 # raw-task wrappers around the stage bodies; the combined stage runs as
 # one SeenHost.combined_round actor call per seen host
@@ -107,7 +108,7 @@ ROWS_PER_TASK = 400
 @dataclass
 class CrawlConfig:
     spec: WebSpec
-    corpus_path: str
+    corpus_path: str  # sharded corpus directory (webgen.ensure_web_sharded)
     seeds: list[str]
     policy: FetchPolicy
     run_dir: str
@@ -295,7 +296,11 @@ def crawl(
     stored_so_far: int = 0,
     cookies0: dict | None = None,
 ) -> CrawlSummary:
-    """Run the BFS crawl; resumable via pipelines.checkpoint.resume_crawl."""
+    """Run the BFS crawl; resumable via pipelines.checkpoint.resume_crawl.
+    ``cfg.corpus_path`` must be a sharded corpus directory
+    (``webgen.ensure_web_sharded``); anything else raises ValueError
+    before the run directory is touched."""
+    n_corpus_shards = corpus_shards(cfg.corpus_path)
     os.makedirs(cfg.run_dir, exist_ok=True)
     _check_run_config(cfg)
     summary = CrawlSummary(
@@ -334,24 +339,14 @@ def crawl(
 
     import time as _time
 
+    # docs-group routing: host -> corpus shard, hashed once per host here,
+    # not once per doc in every task
+    corpus_shard_of_host = [
+        shard_of_host(h, n_corpus_shards) for h in range(cfg.spec.n_hosts)
+    ]
+
     # crawl-constant context shared by every task of every round: put ONCE
     # (broadcast), not re-serialized per task
-    # corpus routing for the docs-group partitioner: sharded corpus ->
-    # precomputed host -> corpus-shard array (hashed once per host here,
-    # not once per doc in every task); flat corpus -> None (page-id range)
-    corpus_meta_path = os.path.join(cfg.corpus_path, "meta.json")
-    if os.path.isdir(cfg.corpus_path) and os.path.exists(corpus_meta_path):
-        with open(corpus_meta_path) as f:
-            n_corpus_shards = json.load(f)["n_shards"]
-        from ..webgen import shard_of_host
-
-        corpus_shard_of_host = [
-            shard_of_host(h, n_corpus_shards) for h in range(cfg.spec.n_hosts)
-        ]
-    else:
-        n_corpus_shards = None
-        corpus_shard_of_host = None
-
     def _ctx_refs(pol: FetchPolicy):
         base = dict(
             spec=cfg.spec,
@@ -446,12 +441,10 @@ def crawl(
             list(range(g * nf // n_groups, (g + 1) * nf // n_groups))
             for g in range(n_groups)
         ]
-        # docs tasks fold the same way: D is capped by n_docs_groups and,
-        # for a sharded corpus, by its shard count (a doc's task is its
-        # corpus shard % D, so more tasks than corpus shards stay empty)
-        D = min(cfg.n_docs_groups, n_by_size)
-        if n_corpus_shards is not None:
-            D = min(D, n_corpus_shards)
+        # docs tasks fold the same way: D is capped by n_docs_groups and
+        # by the corpus shard count (a doc's task is its corpus shard % D,
+        # so more tasks than corpus shards stay empty)
+        D = min(cfg.n_docs_groups, n_corpus_shards, n_by_size)
         # round-start guard snapshots: each seen actor publishes its
         # sorted url-hash array to the object store. Actor-mailbox
         # ordering puts these after the previous round's combined_round,

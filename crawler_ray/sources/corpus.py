@@ -1,198 +1,37 @@
-"""CorpusStore: indexed ``take`` over the image+caption table.
+"""Corpus store: indexed ``take`` over the image+caption table.
 
 The north rule stores the corpus in Lance and fetch actors do key lookups
-(``lance.take``) rather than scans (SURVEY.md §2.5 J4). This container has no
-``lance`` wheel, so the same access pattern is implemented over a parquet
-file SORTED by ``image_id`` with small row groups: a take = binary-search the
-row-group [min,max] key ranges, read only the covering row groups, then
-reorder. Behind the same interface, ``LanceCorpusStore`` activates when
-``import lance`` succeeds.
+(``lance.take``) rather than scans (SURVEY.md §2.5 J4). This container has
+no ``lance`` wheel, so the one store is ``MmapShardCorpus``: the sharded
+corpus directory ``webgen.ensure_web_sharded`` builds, each shard served
+as a memory-mapped uncompressed Arrow IPC file. A Lance-backed store waits
+until the wheel is in the environment. The ``.arrow`` files are written
+beside the parquet shards on first touch, so a read-only corpus directory
+needs them already present.
 
-This is per-actor state: construct once in an actor's ``__init__``
-(reference analogue: the shared HTTP ``Manager``, /root/reference/src/
-Crawl.hs:42-44), never per batch.
+This is per-process state: open once per worker process (stages/fetch.py
+``_corpus``; reference analogue: the shared HTTP ``Manager``,
+/root/reference/src/Crawl.hs:42-44), never per batch.
 """
 
 from __future__ import annotations
 
-import bisect
+import json
 import os
-from collections import OrderedDict
 
+import numpy as np
 import pyarrow as pa
 import pyarrow.parquet as pq
-
-try:  # pragma: no cover - not installed in this sandbox
-    import lance  # type: ignore
-
-    HAVE_LANCE = True
-except ImportError:
-    HAVE_LANCE = False
-
-
-class ParquetCorpusStore:
-    """Row-group-pruned key lookup over a sorted parquet file."""
-
-    def __init__(self, path: str, columns: list[str] | None = None, cache_row_groups: int = 64):
-        self._pf = pq.ParquetFile(path)
-        self._columns = columns
-        md = self._pf.metadata
-        key_idx = md.schema.to_arrow_schema().get_field_index("image_id")
-        self._mins: list[str] = []
-        self._maxs: list[str] = []
-        for rg in range(md.num_row_groups):
-            stats = md.row_group(rg).column(key_idx).statistics
-            self._mins.append(stats.min)
-            self._maxs.append(stats.max)
-        self._cache: OrderedDict[int, dict[str, int]] = OrderedDict()
-        self._cache_tables: OrderedDict[int, pa.Table] = OrderedDict()
-        self._cache_cap = cache_row_groups
-
-    def _row_group_for(self, key: str) -> int | None:
-        i = bisect.bisect_right(self._mins, key) - 1
-        if i < 0 or key > self._maxs[i]:
-            return None
-        return i
-
-    def _load_group(self, rg: int) -> tuple[pa.Table, dict[str, int]]:
-        if rg in self._cache_tables:
-            self._cache_tables.move_to_end(rg)
-            return self._cache_tables[rg], self._cache[rg]
-        t = self._pf.read_row_group(rg, columns=self._columns)
-        index = {k: j for j, k in enumerate(t["image_id"].to_pylist())}
-        self._cache_tables[rg] = t
-        self._cache[rg] = index
-        if len(self._cache_tables) > self._cache_cap:
-            old, _ = self._cache_tables.popitem(last=False)
-            self._cache.pop(old, None)
-        return t, index
-
-    def take(self, image_ids: list[str]) -> pa.Table:
-        """Rows for the given ids, in request order; missing ids raise
-        KeyError. One batched ``Table.take`` over the covering row groups —
-        never per-row slices (a concat of N 1-row slices measured ~450us
-        per row; this path is ~20us)."""
-        import numpy as np
-
-        per_group: dict[int, list[tuple[int, str]]] = {}
-        for pos, key in enumerate(image_ids):
-            rg = self._row_group_for(key)
-            if rg is None:
-                raise KeyError(key)
-            per_group.setdefault(rg, []).append((pos, key))
-        rgs = sorted(per_group)
-        tables = []
-        idxs = np.empty(len(image_ids), dtype=np.int64)
-        off = 0
-        for rg in rgs:
-            t, index = self._load_group(rg)  # index captured before any
-            tables.append(t)                 # later load can evict it
-            for pos, key in per_group[rg]:
-                j = index.get(key)
-                if j is None:
-                    raise KeyError(key)
-                idxs[pos] = off + j
-            off += t.num_rows
-        big = tables[0] if len(tables) == 1 else pa.concat_tables(tables)
-        return big.take(pa.array(idxs))
-
-
-class LanceCorpusStore:  # pragma: no cover - requires lance wheel
-    def __init__(self, path: str, columns: list[str] | None = None):
-        self._ds = lance.dataset(path)
-        self._columns = columns
-        # Build image_id -> row index once per actor (or rely on a scalar
-        # index in real deployments: `lance` BTREE index on image_id).
-        tbl = self._ds.to_table(columns=["image_id"])
-        self._index = {k: i for i, k in enumerate(tbl["image_id"].to_pylist())}
-
-    def take(self, image_ids: list[str]) -> pa.Table:
-        rows = [self._index[k] for k in image_ids]
-        return self._ds.take(rows, columns=self._columns)
-
-
-class ShardedParquetCorpusStore:
-    """Directory of per-fetch-shard partition files (webgen.
-    ensure_web_sharded): a take routes each id to its owning partition via
-    the deterministic id -> host -> shard mapping and row-group-prunes
-    WITHIN that partition. A fetch task's lookups mostly hit its own
-    (small) partition file — the 'one partitioning key across stages'
-    rule; measured ~50x less read amplification than random takes against
-    the flat corpus at 300k pages."""
-
-    def __init__(self, dir_path: str, columns: list[str] | None = None,
-                 max_open_shards: int = 32):
-        import json
-
-        from ..urlkit import url_hash
-        from ..webgen import WebSpec
-
-        with open(os.path.join(dir_path, "meta.json")) as f:
-            meta = json.load(f)
-        self._spec = WebSpec(meta["n_pages"], meta["n_hosts"], meta["seed"])
-        self._n_shards = meta["n_shards"]
-        from ..webgen import shard_of_host
-
-        self._shard_of_host = [
-            shard_of_host(h, self._n_shards) for h in range(meta["n_hosts"])
-        ]
-        self._dir = dir_path
-        self._columns = columns
-        self._open: OrderedDict[int, ParquetCorpusStore] = OrderedDict()
-        self._cap = max_open_shards
-
-    def _store(self, shard: int) -> ParquetCorpusStore:
-        s = self._open.get(shard)
-        if s is None:
-            s = ParquetCorpusStore(
-                os.path.join(self._dir, f"shard_{shard:05d}.parquet"),
-                self._columns,
-                # deep enough to hold the caller's own partition's groups
-                # plus a working set of cross-shard (redirect-target)
-                # misses, shallow enough to bound worker memory
-                cache_row_groups=8,
-            )
-            self._open[shard] = s
-            if len(self._open) > self._cap:
-                self._open.popitem(last=False)
-        else:
-            self._open.move_to_end(shard)
-        return s
-
-    def take(self, image_ids: list[str]) -> pa.Table:
-        import numpy as np
-
-        by_shard: dict[int, list[tuple[int, str]]] = {}
-        for pos, iid in enumerate(image_ids):
-            shard = self._shard_of_host[self._spec.host_of(int(iid[3:]))]
-            by_shard.setdefault(shard, []).append((pos, iid))
-        shards = sorted(by_shard)
-        subs = []
-        idxs = np.empty(len(image_ids), dtype=np.int64)
-        off = 0
-        for shard in shards:
-            wants = by_shard[shard]
-            sub = self._store(shard).take([iid for _, iid in wants])
-            for k, (pos, _) in enumerate(wants):
-                idxs[pos] = off + k
-            off += sub.num_rows
-            subs.append(sub)
-        big = subs[0] if len(subs) == 1 else pa.concat_tables(subs)
-        if len(subs) == 1 and all(idxs[i] == i for i in range(len(idxs))):
-            return big
-        return big.take(pa.array(idxs))
 
 
 class MmapShardCorpus:
     """Random-access corpus over memory-mapped uncompressed Arrow IPC.
 
-    The north rule's corpus store is Lance — a native random-access format
-    where ``take`` touches only the requested rows. Parquet cannot do
-    that: one foreign row costs a full row-group decompress (~0.5-1 ms,
-    measured ~300 us/doc = ~260 core-s per 1M-page crawl even with
-    co-partitioned takes). With no ``lance`` wheel in this container, the
-    equivalent is a one-time conversion of each shard to an UNCOMPRESSED
-    Arrow IPC file served through ``pa.memory_map``:
+    Parquet cannot do Lance's ``take``: one foreign row costs a full
+    row-group decompress (~0.5-1 ms, measured ~300 us/doc = ~260 core-s
+    per 1M-page crawl even with co-partitioned takes). The equivalent is a
+    one-time conversion of each shard to an UNCOMPRESSED Arrow IPC file
+    served through ``pa.memory_map``:
 
     - a take binary-searches a zero-copy int64 ``page_id`` index and
       gathers only the requested rows — the OS faults in only the touched
@@ -205,32 +44,23 @@ class MmapShardCorpus:
       actor variant measured 15-20% SLOWER end-to-end on this box — 32
       extra resident processes oversubscribe the node).
 
-    Conversion is lazy per shard (first toucher converts, atomic rename)
-    so pre-existing parquet corpora upgrade in place; laziness also
-    parallelises the conversion for free — each docs-group task converts
+    Conversion is lazy per shard (first toucher converts, atomic rename),
+    which also parallelises it for free — each docs-group task converts
     only the shards it owns, instead of one process converting all 256.
     """
 
-    def __init__(self, dir_path: str, columns: list[str] | None = None):
-        import json
-
-        import numpy as np
-
-        from ..urlkit import url_hash
-        from ..webgen import WebSpec
+    def __init__(self, dir_path: str):
+        from ..webgen import WebSpec, shard_of_host
 
         with open(os.path.join(dir_path, "meta.json")) as f:
             meta = json.load(f)
         self._spec = WebSpec(meta["n_pages"], meta["n_hosts"], meta["seed"])
-        from ..webgen import shard_of_host
-
         self._shard_of_host = np.array(
             [shard_of_host(h, meta["n_shards"]) for h in range(meta["n_hosts"])],
             dtype=np.int64,
         )
         self._dir = dir_path
-        self._columns = columns
-        self._tables: dict[int, tuple[pa.Table, "np.ndarray"]] = {}
+        self._tables: dict[int, tuple[pa.Table, np.ndarray]] = {}
 
     def _shard(self, s: int):
         hit = self._tables.get(s)
@@ -239,18 +69,13 @@ class MmapShardCorpus:
             t = pa.ipc.open_file(pa.memory_map(path)).read_all()
             # zero-copy view of the mmap'd sorted-key column
             pids = t["page_id"].chunk(0).to_numpy(zero_copy_only=True)
-            if self._columns is not None:
-                t = t.select(self._columns)
-            else:
-                t = t.drop_columns(["page_id"])
-            hit = (t, pids)
+            hit = (t.drop_columns(["page_id"]), pids)
             self._tables[s] = hit
         return hit
 
     def take_pages(self, page_ids) -> pa.Table:
-        """Rows for the given page ids (ints), in request order."""
-        import numpy as np
-
+        """Rows for the given page ids (ints), in request order; a missing
+        id raises KeyError."""
         pids = np.asarray(page_ids, dtype=np.int64)
         hosts = np.array([self._spec.host_of(int(p)) for p in pids])
         shards = self._shard_of_host[hosts]
@@ -275,9 +100,6 @@ class MmapShardCorpus:
             return big
         return big.take(pa.array(out_pos))
 
-    def take(self, image_ids: list[str]) -> pa.Table:
-        return self.take_pages([int(k[3:]) for k in image_ids])
-
 
 def ensure_ipc_shard(dir_path: str, shard: int) -> str:
     """Path of shard ``shard``'s uncompressed Arrow IPC file, converting
@@ -300,16 +122,20 @@ def ensure_ipc_shard(dir_path: str, shard: int) -> str:
     return path
 
 
-def open_corpus(path: str, columns: list[str] | None = None):
-    if os.path.isdir(path):
-        if os.path.exists(os.path.join(path, "meta.json")):
-            # mmap'd IPC wants to write .arrow conversions beside the
-            # parquet shards; a read-only corpus falls back to row-group-
-            # pruned parquet takes
-            if os.access(path, os.W_OK):
-                return MmapShardCorpus(path, columns)
-            return ShardedParquetCorpusStore(path, columns)
-        if HAVE_LANCE:
-            return LanceCorpusStore(path, columns)
-        raise ValueError(f"unrecognized corpus directory layout: {path}")
-    return ParquetCorpusStore(path, columns)
+def corpus_shards(path: str) -> int:
+    """Shard count of the sharded corpus directory ``path`` (its
+    ``meta.json``); ValueError for anything else, such as the flat
+    parquet file ``webgen.ensure_web`` builds."""
+    meta = os.path.join(path, "meta.json")
+    if not os.path.isfile(meta):
+        raise ValueError(
+            f"not a sharded corpus directory (no meta.json): {path}; "
+            "build one with webgen.ensure_web_sharded"
+        )
+    with open(meta) as f:
+        return json.load(f)["n_shards"]
+
+
+def open_corpus(path: str) -> MmapShardCorpus:
+    corpus_shards(path)  # rejects anything but a sharded corpus directory
+    return MmapShardCorpus(path)

@@ -47,8 +47,8 @@ Data exchange, round-2 layout (re-planned after measuring round 1):
   in a foreign corpus partition — 0.5-1.1 ms/row and ~170 GB of read
   amplification per sf0.1 crawl, the single largest shared-memory-bus
   load behind the 32-worker core-second inflation. Grouped by corpus
-  shard, those rows fold into the covering-row-group reads the owning
-  group performs anyway (~4 us/row marginal).
+  shard, those rows are takes from the shard files the owning group
+  maps anyway (sources/corpus.py).
 - docs / order / logs / metrics / seen deltas: per-shard partition files
   per round (checkpoint lineage + the payload sink).
 
@@ -350,12 +350,8 @@ def fetch_shard(
     corpus_shard_of_host = ctx["corpus_shard_of_host"]
 
     def _docs_group_of(pid: int) -> int:
-        # co-partition with the corpus store: sharded corpus -> the landed
-        # host's corpus shard; flat corpus -> page-id range (the flat file
-        # is sorted by image_id, so a range is a contiguous group run)
-        if corpus_shard_of_host is not None:
-            return corpus_shard_of_host[spec.host_of(pid)] % n_docs_groups
-        return pid * n_docs_groups // spec.n_pages
+        # co-partition with the corpus store: the landed host's corpus shard
+        return corpus_shard_of_host[spec.host_of(pid)] % n_docs_groups
 
     def _docs_table(docs: list[dict]) -> pa.Table:
         # metadata only — the content body is re-rendered from (spec,
@@ -608,10 +604,8 @@ def write_docs_group(
 
     The group is a set of corpus shards (fetch tasks route each doc by
     its landed page's corpus shard), so the payload take below only ever
-    touches partitions this group owns, with every row-group read
-    amortized over all of the round's rows landing in it — the corpus is
-    read ~once per round total instead of once per (fetch shard x
-    foreign-landing row).
+    maps the shard files this group owns (``sources.corpus``), however
+    many fetch shards the round's rows came from.
 
     The body re-render trades ~30 us CPU per doc for ~1 KB of object-store
     traffic per doc (the fetch stage already proved body == render_page(
@@ -639,10 +633,7 @@ def write_docs_group(
     os.makedirs(docs_dir, exist_ok=True)
 
     page_ids = docs_tbl["page_id"].to_pylist()
-    if hasattr(corpus, "take_pages"):
-        payload = corpus.take_pages(page_ids)
-    else:
-        payload = corpus.take([spec.image_id(p) for p in page_ids])
+    payload = corpus.take_pages(page_ids)
     _t_take = time.time()
     ok_col = None
     if ctx["verify_payload"]:

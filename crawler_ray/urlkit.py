@@ -303,6 +303,3 @@ class IncludePatterns:
         if d is None:
             return False
         return any(p in d for p in self.domain_patterns)
-
-    def accepts_many(self, urls: list[str]) -> list[bool]:
-        return [self.accepts(u) for u in urls]

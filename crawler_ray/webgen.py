@@ -376,10 +376,11 @@ def ensure_web(
     seed: int = 42,
     cache_dir: str = "/tmp/crawler_ray_cache",
 ) -> tuple[WebSpec, str]:
-    """Build (or reuse cached) corpus parquet sorted by image_id.
+    """Build (or reuse cached) the flat corpus parquet, sorted by image_id.
 
-    Sorted + small row groups so CorpusStore can do index-style row-group
-    pruned ``take`` (the parquet stand-in for lance take).
+    It is the ops layer's image dataset (``ops.multimodal.corpus_for_sf``)
+    and the input ``ensure_web_sharded`` partitions; the crawl reads
+    payloads only from the sharded directory.
     """
     spec = WebSpec(n_pages=n_pages, n_hosts=n_hosts, seed=seed)
     os.makedirs(cache_dir, exist_ok=True)
@@ -412,20 +413,18 @@ def ensure_web_sharded(
     """Corpus partitioned by the FETCH-SHARD key (url_hash(host) %
     n_shards) — the same partitioning the crawl's fetch stage uses, so a
     fetch task's payload lookups hit (mostly) its own partition file
-    instead of scattering row-group reads across the whole corpus. One
+    instead of scattering reads across the whole corpus. One
     partitioning key, reused across stages. Each partition is sorted by
-    image_id for row-group-pruned take; ``meta.json`` makes the directory
-    self-describing for open_corpus()."""
+    image_id; ``meta.json`` makes the directory self-describing for
+    ``sources.corpus.open_corpus``, which serves each partition as a
+    memory-mapped Arrow IPC file."""
     import json
 
-    from .urlkit import url_hash
-
     spec, flat_path = ensure_web(n_pages, n_hosts, seed, cache_dir)
-    # v3: per-shard rows are buffered and flushed in large chunks with
-    # 128-row groups — the v1 writer emitted ~4-row groups (indexed takes
-    # ~5x slower than necessary); 1024-row groups (v2) made the ~10% of
-    # takes that land cross-shard (redirect targets) read 6 MB per missed
-    # row. 128 rows x ~6.5 KB ~= 0.8 MB per group balances both.
+    # per-shard rows are buffered and flushed in large chunks; the parquet
+    # partitions feed only the one-time Arrow IPC conversion
+    # (sources/corpus.py), so their 128-row groups are kept only so that
+    # cached corpora stay byte-identical
     out_dir = os.path.join(
         cache_dir, f"corpus_sharded_v4_{n_pages}_{n_hosts}_{seed}_{n_shards}"
     )

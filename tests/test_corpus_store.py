@@ -1,52 +1,75 @@
 """MmapShardCorpus: the Lance-equivalent random-access corpus store.
 
 Covers the lazy parquet -> uncompressed Arrow IPC conversion, ordered
-cross-shard ``take_pages``, the missing-id error path, and engine/oracle
-parity when the crawl's docs sink reads payloads through the mmap store
-(the fast path `open_corpus` picks for writable sharded directories).
+cross-shard ``take_pages`` against the generator's own rows, the
+missing-id error path, the rejection of anything but a sharded corpus
+directory (by ``open_corpus`` and by ``crawl()``), and engine/oracle
+parity when the crawl's docs sink reads payloads through the store.
 """
 
 import os
 
+import pyarrow as pa
 import pytest
 
 from crawler_ray.fetchsim import FetchPolicy
 from crawler_ray.oracle import run_oracle
 from crawler_ray.pipelines.crawl import CrawlConfig, crawl, read_crawled
-from crawler_ray.sources.corpus import (
-    MmapShardCorpus,
-    ShardedParquetCorpusStore,
-    open_corpus,
-)
+from crawler_ray.sources.corpus import MmapShardCorpus, open_corpus
 from crawler_ray.urlkit import IncludePatterns
-from crawler_ray.webgen import ensure_web_sharded
+from crawler_ray.webgen import CORPUS_SCHEMA, ensure_web, ensure_web_sharded
 
 N_PAGES, N_HOSTS, N_SHARDS = 1200, 48, 8
 
 
 @pytest.fixture(scope="module")
-def sharded_web(tmp_path_factory):
-    cache = tmp_path_factory.mktemp("shardedweb")
-    return ensure_web_sharded(
-        N_PAGES, N_HOSTS, N_SHARDS, seed=11, cache_dir=str(cache)
-    )
+def cache(tmp_path_factory):
+    return str(tmp_path_factory.mktemp("shardedweb"))
 
 
-def test_open_corpus_prefers_mmap_when_writable(sharded_web):
+@pytest.fixture(scope="module")
+def sharded_web(cache):
+    return ensure_web_sharded(N_PAGES, N_HOSTS, N_SHARDS, seed=11, cache_dir=cache)
+
+
+@pytest.fixture(scope="module")
+def policy():
+    return FetchPolicy(include=IncludePatterns(domain_patterns=frozenset([".test"])))
+
+
+def test_open_corpus_serves_sharded_dir_through_mmap(sharded_web):
     _, path = sharded_web
     assert isinstance(open_corpus(path), MmapShardCorpus)
 
 
-def test_take_pages_matches_parquet_store(sharded_web):
+def test_open_corpus_rejects_flat_file(sharded_web, cache):
+    # the flat parquet ensure_web_sharded partitions (already in the cache)
+    _, flat = ensure_web(N_PAGES, N_HOSTS, seed=11, cache_dir=cache)
+    with pytest.raises(ValueError, match="sharded corpus"):
+        open_corpus(flat)
+
+
+def test_crawl_rejects_flat_corpus_before_round_0(sharded_web, cache, policy, tmp_path):
+    spec, flat = ensure_web(N_PAGES, N_HOSTS, seed=11, cache_dir=cache)
+    run_dir = tmp_path / "run"
+    cfg = CrawlConfig(
+        spec=spec, corpus_path=flat, seeds=[spec.url_of(0)], policy=policy,
+        run_dir=str(run_dir),
+    )
+    with pytest.raises(ValueError, match="sharded corpus"):
+        crawl(cfg)
+    # rejected before anything is written: no round, frontier or config
+    assert not run_dir.exists()
+
+
+def test_take_pages_matches_generator_rows(sharded_web):
     spec, path = sharded_web
-    mm = MmapShardCorpus(path)
-    pqs = ShardedParquetCorpusStore(path)
     # ids spanning several shards, deliberately unsorted with a duplicate
     ids = [7, 411, 3, 1199, 411, 500, 42]
-    a = mm.take_pages(ids)
-    b = pqs.take([spec.image_id(p) for p in ids])
-    assert a.column_names == b.column_names
-    assert a.to_pylist() == b.to_pylist()
+    got = MmapShardCorpus(path).take_pages(ids)
+    assert got.schema.equals(CORPUS_SCHEMA)
+    want = pa.Table.from_pylist([spec.corpus_row(p) for p in ids], schema=CORPUS_SCHEMA)
+    assert got.to_pylist() == want.to_pylist()
     # conversion is lazy: only the touched shards materialised .arrow
     n_arrow = len([f for f in os.listdir(path) if f.endswith(".arrow")])
     assert 0 < n_arrow <= N_SHARDS
@@ -58,11 +81,8 @@ def test_take_pages_missing_id_raises(sharded_web):
         MmapShardCorpus(path).take_pages([N_PAGES + 5])
 
 
-def test_sharded_crawl_matches_oracle(ray_session, sharded_web, tmp_path):
+def test_sharded_crawl_matches_oracle(ray_session, sharded_web, policy, tmp_path):
     spec, corpus_path = sharded_web
-    policy = FetchPolicy(
-        include=IncludePatterns(domain_patterns=frozenset([".test"]))
-    )
     seeds = [spec.url_of(i) for i in range(6)]
     cfg = CrawlConfig(
         spec=spec,

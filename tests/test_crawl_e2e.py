@@ -20,17 +20,19 @@ from crawler_ray.oracle import run_oracle
 from crawler_ray.pipelines.crawl import CrawlConfig, crawl, read_crawled, read_order
 from crawler_ray.state.seen import STATUS_NAMES, make_shards
 from crawler_ray.urlkit import IncludePatterns
-from crawler_ray.webgen import WebSpec, ensure_web
+from crawler_ray.webgen import WebSpec, ensure_web_sharded
 
 import ray
 
-N_PAGES, N_HOSTS = 300, 12
+N_PAGES, N_HOSTS, N_CORPUS_SHARDS = 300, 12, 4
 
 
 @pytest.fixture(scope="module")
 def web(tmp_path_factory):
     cache = tmp_path_factory.mktemp("web")
-    spec, corpus_path = ensure_web(N_PAGES, N_HOSTS, seed=42, cache_dir=str(cache))
+    spec, corpus_path = ensure_web_sharded(
+        N_PAGES, N_HOSTS, N_CORPUS_SHARDS, seed=42, cache_dir=str(cache)
+    )
     return spec, corpus_path
 
 

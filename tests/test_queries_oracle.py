@@ -1218,6 +1218,54 @@ def test_decontaminate_planted_ground_truth(ray_session):
     pd.testing.assert_frame_equal(out, expected)
 
 
+def test_decontaminate_keeps_colliding_bench_grams(ray_session, monkeypatch):
+    """Two distinct bench grams that share a 64-bit hash must both stay
+    matchable. The collision is forced through the word tokenizer: its
+    words are a str subclass whose ``encode`` (what pandas' word hash
+    reads) maps "alpha" and "beta" to the same bytes, so "alpha b..h" and
+    "beta b..h" hash alike in the bench and scan tasks while their strings
+    differ. A bench side that keeps one gram per hash loses the second
+    and misses doc 2."""
+    import re
+
+    import ray.data as rd
+
+    import crawler_ray.ops.text as text_mod
+
+    class Word(str):
+        def encode(self, *a, **k):
+            if self in ("alpha", "beta"):
+                return b"alpha"
+            return str.encode(self, *a, **k)
+
+    class Tokenizer:
+        def findall(self, t):
+            return [Word(w) for w in re.findall(r"[a-z]+", t)]
+
+    monkeypatch.setattr(text_mod, "_WORD", Tokenizer())
+    tail = "bravo charlie delta echo foxtrot golf hotel"
+    docs = pd.DataFrame(
+        {
+            "doc_id": [0, 1, 2, 3],
+            "text": [
+                f"alpha {tail} beta {tail}",  # bench doc: both colliding grams
+                f"alpha {tail}",              # the first gram
+                f"beta {tail}",               # the second gram, same hash
+                f"india {tail}",              # shares 7 words only
+            ],
+        }
+    )
+    out = (
+        text_mod._decontaminate_ds(rd.from_pandas(docs))
+        .to_pandas()
+        .sort_values("doc_id")
+        .reset_index(drop=True)
+    )
+    assert out["doc_id"].tolist() == [1, 2]
+    assert out["hits"].tolist() == [1, 1]
+    assert out["distinct_grams"].tolist() == [1, 1]
+
+
 def test_lm_logprob_hand_computed(ray_session):
     """Two-doc corpus with hand-derived bigram-LM scores. Corpus:
     'a b a b' and 'a c' -> c2 = {(a,b):2, (b,a):1, (a,c):1},

@@ -13,15 +13,17 @@ from crawler_ray.oracle import run_oracle
 from crawler_ray.pipelines.checkpoint import committed_rounds, resume_crawl
 from crawler_ray.pipelines.crawl import CrawlConfig, crawl, read_crawled, read_order
 from crawler_ray.urlkit import IncludePatterns
-from crawler_ray.webgen import ensure_web
+from crawler_ray.webgen import ensure_web_sharded
 
-N_PAGES, N_HOSTS = 300, 12
+N_PAGES, N_HOSTS, N_CORPUS_SHARDS = 300, 12, 4
 
 
 @pytest.fixture(scope="module")
 def web(tmp_path_factory):
     cache = tmp_path_factory.mktemp("web")
-    return ensure_web(N_PAGES, N_HOSTS, seed=42, cache_dir=str(cache))
+    return ensure_web_sharded(
+        N_PAGES, N_HOSTS, N_CORPUS_SHARDS, seed=42, cache_dir=str(cache)
+    )
 
 
 @pytest.fixture(scope="module")
@@ -78,7 +80,7 @@ def test_quota_trim_inside_large_round(ray_session, web, policy, tmp_path):
     docs = read_crawled(str(tmp_path / "run")).to_pandas()
     assert len(docs) == limit
     assert set(docs["url"]) == {d["url"] for d in golden.crawled}
-    # layout: still one docs file per (touched) fetch-shard group
+    # layout: still one docs file per (touched) docs group
     files = glob.glob(str(tmp_path / "run" / "round_*" / "docs" / "part-*.parquet"))
     assert files
 

@@ -1,10 +1,10 @@
 """Task-shape contracts: a crawl's outputs do not depend on how a round is
 cut into tasks.
 
-- A pairwise grid of fetch-shard, seen-shard and docs-group counts, with
-  the rows-per-task constant turned down so fetch and docs tasks both
-  fold, must reproduce the single-threaded oracle: read order, the seen
-  set replayed from ``seen_delta``, and the stored-doc keys.
+- A pairwise grid of fetch-shard, seen-shard, docs-group and corpus-shard
+  counts, with the rows-per-task constant turned down so fetch and docs
+  tasks both fold, must reproduce the single-threaded oracle: read order,
+  the seen set replayed from ``seen_delta``, and the stored-doc keys.
 - ``SeenHost.combined_round`` (one call for all of a host's shards) must
   write the same frontier and delta bytes as the per-shard body run on
   each shard's own metas.
@@ -34,17 +34,20 @@ from crawler_ray.state.seen import (
     seen_hosts,
 )
 from crawler_ray.urlkit import IncludePatterns, url_hash
-from crawler_ray.webgen import ensure_web, ensure_web_sharded
+from crawler_ray.webgen import ensure_web_sharded
 
-N_PAGES, N_HOSTS, N_CORPUS_SHARDS = 300, 12, 4
+N_PAGES, N_HOSTS = 300, 12
 
 FETCH = (1, 3, 16)
 SEEN = (1, 3, 6, 8)
 DOCS = (1, 4, 32)
+# corpus shards: 4 caps the docs-task count below n_docs_groups, 40 does
+# not (more shards than the web's 12 hosts, so some stay empty)
+CORPUS = (4, 40)
 # every (seen, fetch) pair, docs = (i_seen + i_fetch) % 3: each pair of
 # the three axes occurs at least once in 12 crawls
 GRID = [
-    (FETCH[i_f], SEEN[i_s], DOCS[(i_s + i_f) % 3], (i_s + i_f) % 2 == 0)
+    (FETCH[i_f], SEEN[i_s], DOCS[(i_s + i_f) % 3], CORPUS[(i_s + i_f) % 2])
     for i_s in range(len(SEEN))
     for i_f in range(len(FETCH))
 ]
@@ -54,10 +57,8 @@ GRID = [
 def webs(tmp_path_factory):
     cache = str(tmp_path_factory.mktemp("web"))
     return {
-        "flat": ensure_web(N_PAGES, N_HOSTS, seed=5, cache_dir=cache),
-        "sharded": ensure_web_sharded(
-            N_PAGES, N_HOSTS, N_CORPUS_SHARDS, seed=5, cache_dir=cache
-        ),
+        n: ensure_web_sharded(N_PAGES, N_HOSTS, n, seed=5, cache_dir=cache)
+        for n in CORPUS
     }
 
 
@@ -82,16 +83,16 @@ def _replay_seen(run_dir: str) -> dict[str, str]:
 def test_shard_shapes_match_oracle(ray_session, webs, policy, tmp_path, monkeypatch):
     # 4 rows per task: 300-page rounds fold fetch and docs tasks alike
     monkeypatch.setattr(crawl_mod, "ROWS_PER_TASK", 4)
-    spec = webs["flat"][0]
+    spec = webs[CORPUS[0]][0]
     seeds = [spec.url_of(i) for i in range(3)]
     golden = run_oracle(spec, policy, seeds)
     want_order = sorted(golden.order)
     want_docs = sorted(
         (d["url"], d["round"], d["host"], d["seq"]) for d in golden.crawled
     )
-    for n_fetch, n_seen, n_docs, sharded in GRID:
-        shape = (n_fetch, n_seen, n_docs, sharded)
-        spec, corpus = webs["sharded" if sharded else "flat"]
+    for n_fetch, n_seen, n_docs, n_corpus in GRID:
+        shape = (n_fetch, n_seen, n_docs, n_corpus)
+        spec, corpus = webs[n_corpus]
         run_dir = str(tmp_path / "-".join(map(str, shape)))
         shards = make_shards(n_seen, 1 << 10)
         crawl(
@@ -121,10 +122,11 @@ def test_shard_shapes_match_oracle(ray_session, webs, policy, tmp_path, monkeypa
             zip(*(docs[c].to_pylist() for c in ("url", "round", "host", "seq")))
         )
         assert got_docs == want_docs, shape
-        # a round never starts more docs tasks than corpus shards
-        if sharded:
-            for rdir in glob.glob(os.path.join(run_dir, "round_*")):
-                assert len(os.listdir(os.path.join(rdir, "docs"))) <= N_CORPUS_SHARDS
+        # a round never starts more docs tasks than docs groups or
+        # corpus shards
+        for rdir in glob.glob(os.path.join(run_dir, "round_*")):
+            n_parts = len(os.listdir(os.path.join(rdir, "docs")))
+            assert n_parts <= min(n_docs, n_corpus), shape
 
 
 def _meta_batch(rows: list[tuple]) -> pa.RecordBatch:
@@ -212,7 +214,7 @@ def test_host_combined_equals_per_shard(ray_session, tmp_path):
 
 
 def test_read_crawled_empty_schema_matches(ray_session, webs, policy, tmp_path):
-    spec, corpus = webs["flat"]
+    spec, corpus = webs[CORPUS[0]]
     base = dict(spec=spec, corpus_path=corpus, policy=policy, limit=5)
     crawl(CrawlConfig(seeds=[spec.url_of(0)], run_dir=str(tmp_path / "a"), **base))
     # no seed passes the include gate: the run stores nothing

@@ -264,9 +264,9 @@ def test_resume_equals_straight_through(ray_session, tmp_path):
     from crawler_ray.pipelines.checkpoint import committed_rounds, resume_crawl
     from crawler_ray.pipelines.crawl import CrawlConfig, crawl, read_crawled, read_order
     from crawler_ray.urlkit import IncludePatterns
-    from crawler_ray.webgen import ensure_web
+    from crawler_ray.webgen import ensure_web_sharded
 
-    spec, corpus = ensure_web(250, 10, seed=7, cache_dir=str(tmp_path / "web"))
+    spec, corpus = ensure_web_sharded(250, 10, 4, seed=7, cache_dir=str(tmp_path / "web"))
     policy = FetchPolicy(include=IncludePatterns(domain_patterns=frozenset([".test"])))
     seeds = [spec.url_of(i) for i in range(3)]
 
@@ -303,9 +303,9 @@ def test_actor_death_recovers_byte_identical(ray_session, tmp_path):
         read_order,
     )
     from crawler_ray.urlkit import IncludePatterns
-    from crawler_ray.webgen import ensure_web
+    from crawler_ray.webgen import ensure_web_sharded
 
-    spec, corpus = ensure_web(250, 10, seed=7, cache_dir=str(tmp_path / "web"))
+    spec, corpus = ensure_web_sharded(250, 10, 4, seed=7, cache_dir=str(tmp_path / "web"))
     policy = FetchPolicy(include=IncludePatterns(domain_patterns=frozenset([".test"])))
     seeds = [spec.url_of(i) for i in range(3)]
     base = dict(spec=spec, corpus_path=corpus, seeds=seeds, policy=policy)
@@ -341,9 +341,9 @@ def test_resume_of_quota_completed_run_is_a_noop(ray_session, tmp_path):
     from crawler_ray.pipelines.checkpoint import committed_rounds, resume_crawl
     from crawler_ray.pipelines.crawl import CrawlConfig, crawl, read_order
     from crawler_ray.urlkit import IncludePatterns
-    from crawler_ray.webgen import ensure_web
+    from crawler_ray.webgen import ensure_web_sharded
 
-    spec, corpus = ensure_web(250, 10, seed=7, cache_dir=str(tmp_path / "web"))
+    spec, corpus = ensure_web_sharded(250, 10, 4, seed=7, cache_dir=str(tmp_path / "web"))
     policy = FetchPolicy(include=IncludePatterns(domain_patterns=frozenset([".test"])))
     seeds = [spec.url_of(i) for i in range(3)]
     cfg = CrawlConfig(
@@ -372,9 +372,9 @@ def test_stale_stop_consumed_on_natural_exit(ray_session, tmp_path):
     from crawler_ray.pipelines.checkpoint import resume_crawl
     from crawler_ray.pipelines.crawl import CrawlConfig, crawl
     from crawler_ray.urlkit import IncludePatterns
-    from crawler_ray.webgen import ensure_web
+    from crawler_ray.webgen import ensure_web_sharded
 
-    spec, corpus = ensure_web(250, 10, seed=7, cache_dir=str(tmp_path / "web"))
+    spec, corpus = ensure_web_sharded(250, 10, 4, seed=7, cache_dir=str(tmp_path / "web"))
     policy = FetchPolicy(include=IncludePatterns(domain_patterns=frozenset([".test"])))
     cfg = CrawlConfig(
         run_dir=str(tmp_path / "s"), spec=spec, corpus_path=corpus,

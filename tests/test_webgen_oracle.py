@@ -9,9 +9,9 @@ import pytest
 from crawler_ray.codecs import decode_image, encode_image, perceptual_hash, psnr
 from crawler_ray.fetchsim import FetchPolicy, process_url, simulate_fetch
 from crawler_ray.oracle import run_oracle
-from crawler_ray.sources.corpus import ParquetCorpusStore
+from crawler_ray.sources.corpus import open_corpus
 from crawler_ray.urlkit import IncludePatterns
-from crawler_ray.webgen import WebSpec, build_corpus_table, ensure_web
+from crawler_ray.webgen import WebSpec, build_corpus_table, ensure_web_sharded
 
 SPEC = WebSpec(n_pages=300, n_hosts=12, seed=42)
 ALL = IncludePatterns(domain_patterns=frozenset([".test"]))
@@ -94,15 +94,15 @@ def test_process_url_meta_trap_guard():
 
 
 def test_corpus_store_take(tmp_path):
-    spec, path = ensure_web(200, 8, seed=43, cache_dir=str(tmp_path))
-    store = ParquetCorpusStore(path)
-    ids = [spec.image_id(i) for i in (5, 199, 0, 63)]
-    t = store.take(ids)
-    assert t["image_id"].to_pylist() == ids
+    spec, path = ensure_web_sharded(200, 8, 4, seed=43, cache_dir=str(tmp_path))
+    store = open_corpus(path)
+    pids = [5, 199, 0, 63]
+    t = store.take_pages(pids)
+    assert t["image_id"].to_pylist() == [spec.image_id(i) for i in pids]
     got = decode_image(t["bytes"][1].as_py())
     assert np.array_equal(got, spec.pixels_of(199)) or psnr(spec.pixels_of(199), got) >= 40
     with pytest.raises(KeyError):
-        store.take(["img99999999"])
+        store.take_pages([99999999])
 
 
 def test_corpus_table_schema():
