@@ -95,29 +95,36 @@ def _crawl_seen(sf_dir: str):
     from crawler_ray.ops.common import bucketed_group_apply
 
     run_dir, _ = _ensure_crawl_run(sf_dir)
+    # empty delta files hold nothing to replay; a 0-row object-dtype url
+    # block made Ray Data's size estimate log a numpy vectorize error
     items = []
     for rdir in sorted(glob.glob(os.path.join(run_dir, "round_*"))):
         rnd = int(os.path.basename(rdir).split("_")[1])
         for f in sorted(glob.glob(os.path.join(rdir, "seen_delta", "*.parquet"))):
-            items.append({"path": f, "round": rnd})
+            if pq.ParquetFile(f).metadata.num_rows:
+                items.append({"path": f, "round": rnd})
 
-    def load(batch: pd.DataFrame) -> pd.DataFrame:
-        out = []
-        for p, rnd in zip(batch["path"], batch["round"]):
-            df = pq.read_table(p, columns=["url", "status"]).to_pandas()
-            df["round"] = rnd
-            df["pos"] = range(len(df))
-            out.append(df)
-        if not out:
-            return pd.DataFrame(columns=["url", "status", "round", "pos"])
-        return pd.concat(out, ignore_index=True)
+    rows_schema = pa.schema(
+        [("url", pa.string()), ("status", pa.int8()),
+         ("round", pa.int64()), ("pos", pa.int64())]
+    )
+
+    def load(batch: pa.Table) -> pa.Table:
+        out = [rows_schema.empty_table()]
+        for p, rnd in zip(batch["path"].to_pylist(), batch["round"].to_pylist()):
+            t = pq.read_table(p, columns=["url", "status"])
+            out.append(
+                t.append_column("round", pa.array([rnd] * t.num_rows, pa.int64()))
+                .append_column("pos", pa.array(range(t.num_rows), pa.int64()))
+            )
+        return pa.concat_tables(out)
 
     def last_wins(g: pd.DataFrame) -> pd.DataFrame:
         g = g.sort_values(["round", "pos"]).groupby("url", as_index=False).last()
         g = g[g["status"] != 0]
         return g[["url", "status"]]
 
-    ds = rd.from_items(items).map_batches(load, batch_format="pandas")
+    ds = rd.from_items(items).map_batches(load, batch_format="pyarrow")
     out = bucketed_group_apply(ds, ["url"], last_wins, n_buckets=8).to_pandas()
     out = out.sort_values("url").reset_index(drop=True)
     return pa.table(

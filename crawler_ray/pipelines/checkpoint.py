@@ -69,7 +69,8 @@ def rebuild_shards(cfg: CrawlConfig, upto_round: int):
 
 
 def run_with_recovery(cfg: CrawlConfig, max_round_retries: int = 2) -> CrawlSummary:
-    """Driver-level fault recovery: a lost seen host actor, fetch task or
+    """Driver-level fault recovery: a lost seen host actor (hosts 1..;
+    host 0 lives in the driver and goes down with it), fetch task or
     node aborts only the round in flight. Catch the Ray-level failure,
     rebuild FRESH seen shards from the last committed round's deltas
     (``resume_crawl``), and continue — rounds are deterministic and

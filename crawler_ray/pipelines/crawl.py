@@ -16,7 +16,8 @@ Each round is two RAW-Ray-task fan-outs with file-partitioned exchange
         |  exchange, shuffle 2 — no files; see stages/fetch.py)
         v  one combined call per seen host, running each of its shards
         |  in id order (canonical-order terminal mutations, candidate
-        |  dedup + insertIfNotDone, delta checkpoint)
+        |  dedup + insertIfNotDone, delta checkpoint); host 0 runs in
+        |  this driver process, hosts 1..P-1 are actors
     frontier_{k+1}/from_{m}.parquet + MANIFEST
 
 Beside the barrier, D docs tasks per round (payload take + verify +
@@ -26,8 +27,9 @@ A round's task counts follow its size, not the configured fan-out: with
 R frontier rows a round starts min(n_fetch_shards, 128, R // 400) fetch
 tasks and D = min(n_docs_groups, corpus shards, R // 400) docs tasks (at
 least one each; ``ROWS_PER_TASK`` = 400), and makes one combined call
-per seen host. Both counts are pure functions of R, so a rerun or a
-resume regroups identically.
+per seen host: P - 1 actor calls, submitted with the fetch tasks, and
+host 0's call in the driver once the fetch phase ends. Both counts are
+pure functions of R, so a rerun or a resume regroups identically.
 
 The frontier files are the only way frontier rows reach the next round,
 and they are also the resume lineage: round 0, a resume, an injection
@@ -72,6 +74,7 @@ import glob
 import json
 import os
 import shutil
+import time
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -95,7 +98,7 @@ from ..urlkit import IncludePatterns, canonicalise, get_domain, url_hash
 from ..webgen import WebSpec, shard_of_host
 
 # raw-task wrappers around the stage bodies; the combined stage runs as
-# one SeenHost.combined_round actor call per seen host
+# one combined_round call per seen host (state/seen.py)
 _fetch_task = ray.remote(fetch_shard)
 _docs_task = ray.remote(write_docs_group)
 
@@ -300,6 +303,7 @@ def crawl(
     ``cfg.corpus_path`` must be a sharded corpus directory
     (``webgen.ensure_web_sharded``); anything else raises ValueError
     before the run directory is touched."""
+    t_entry = time.time()
     n_corpus_shards = corpus_shards(cfg.corpus_path)
     os.makedirs(cfg.run_dir, exist_ok=True)
     _check_run_config(cfg)
@@ -337,8 +341,6 @@ def crawl(
             for f in glob.glob(os.path.join(frontier_path, "*.parquet"))
         )
 
-    import time as _time
-
     # docs-group routing: host -> corpus shard, hashed once per host here,
     # not once per doc in every task
     corpus_shard_of_host = [
@@ -363,6 +365,7 @@ def crawl(
         return ray.put(base)
 
     ctx_ref = _ctx_refs(policy)
+    t_first_round = None
     # (rdir, rnd, stats, next_path, cookies, docs_refs) awaiting manifest
     pending_commit: tuple | None = None
 
@@ -387,7 +390,9 @@ def crawl(
             os.replace(stop_f, stop_f + ".consumed")
             summary.halted = True
             break
-        _t_round = _time.time()
+        _t_round = time.time()
+        if t_first_round is None:
+            t_first_round = _t_round
         if cfg.fault_hook is not None:
             cfg.fault_hook(rnd, shards)
         rdir = _round_dir(cfg.run_dir, rnd)
@@ -475,25 +480,26 @@ def crawl(
             )
             for g in range(D)
         ]
-        # --- combined terminal+candidate stage: one combined_round actor
-        #     call per seen host, fed every fetch task's meta ref for it.
-        #     Submitted immediately — those object refs ARE the fetch-phase
-        #     barrier (no combined call can start before every fetch task
-        #     finished, so the seen set stays frozen during the fetch
-        #     phase), and the driver's stats processing below overlaps
-        #     with combined execution instead of gating it. Each shard
-        #     writes its survivors to next_path; a call returns the stats
-        #     of its host's shards.
-        comb_rets = [
-            host.combined_round.remote(
+        # --- combined terminal+candidate stage: one combined_round call
+        #     per seen host, fed every fetch task's meta ref for it. The
+        #     actor hosts' calls are submitted immediately — those object
+        #     refs ARE the fetch-phase barrier (no combined call can start
+        #     before every fetch task finished, so the seen set stays
+        #     frozen during the fetch phase). Host 0 runs in this process
+        #     (state/seen.py): its call runs after the fetch phase, beside
+        #     the actor hosts' calls. Each shard writes its survivors to
+        #     next_path; a call returns the stats of its host's shards.
+        def _combined(p):
+            return hosts[p].combined_round.remote(
                 cfg.n_fetch_shards, cfg.run_dir, rnd, next_path,
                 *[r[1 + D + p] for r in fetch_rets],
             )
-            for p, host in enumerate(hosts)
-        ]
+
+        comb_rets = [_combined(p) for p in range(1, len(hosts))]
 
         stats1 = ray.get([r[0] for r in fetch_rets])
-        _t_fetch = _time.time() - _t_round
+        _t_fetch = time.time() - _t_round
+        comb_rets.insert(0, _combined(0))
         n_proc = sum(r["n_proc"] for r in stats1)
         n_docs = sum(r["n_docs"] for r in stats1)
         summary.fetched += n_proc
@@ -524,7 +530,7 @@ def crawl(
             key=lambda st: st["sshard"],
         )
         frontier_rows = sum(r["n_new"] for r in stats2)
-        _t_combined = _time.time() - _t_round - _t_fetch
+        _t_combined = time.time() - _t_round - _t_fetch
 
         stored_this_round = summary.stored - stored_before
         f_secs = [r["sec"] for r in stats1]
@@ -535,7 +541,7 @@ def crawl(
             "frontier_next": frontier_rows,
             "sec_fetch": round(_t_fetch, 3),
             "sec_combined": round(_t_combined, 3),
-            "sec_round": round(_time.time() - _t_round, 3),
+            "sec_round": round(time.time() - _t_round, 3),
             # straggler diagnostics: per-task wall time sum/max per stage
             "fetch_task_sum": round(sum(f_secs), 3),
             "fetch_task_max": round(max(f_secs), 3),
@@ -557,7 +563,9 @@ def crawl(
             ],
             "comb_phases": {
                 k: round(sum(r.get(k, 0.0) for r in stats2), 2)
-                for k in ("t_read", "t_mut", "t_cand", "t_write", "t_delta")
+                for k in (
+                    "t_read", "t_mut", "t_cand", "t_write", "t_delta", "t_cpu",
+                )
             },
         }
         stats["round"] = rnd
@@ -603,7 +611,8 @@ def crawl(
         else "max_rounds"
     )
     _write_status(cfg.run_dir, state, rnd - 1, frontier_rows, summary)
-    _write_run_manifest(cfg, summary)
+    # with no round run, all of the call was start-up
+    _write_run_manifest(cfg, summary, (t_first_round or time.time()) - t_entry)
     return summary
 
 
@@ -696,7 +705,7 @@ def _commit_after_docs(
     ]
     stats["docs_phases"] = {
         k: round(sum(d.get(k, 0.0) for d in dstats), 2)
-        for k in ("t_take", "t_verify", "t_render", "t_write")
+        for k in ("t_take", "t_verify", "t_render", "t_write", "t_cpu")
     }
     _commit_round(rdir, rnd, stats, next_frontier_path, cookies)
 
@@ -752,9 +761,14 @@ def _trim_round_docs(cfg: CrawlConfig, rnd: int, room: int) -> None:
         os.replace(tmp, f)
 
 
-def _write_run_manifest(cfg: CrawlConfig, summary: CrawlSummary) -> None:
+def _write_run_manifest(
+    cfg: CrawlConfig, summary: CrawlSummary, start_s: float
+) -> None:
     m = {
         "rounds": summary.rounds,
+        # crawl() entry to its first round's start: the seen hosts it
+        # makes (a resume restores them before the call), seeding
+        "start_s": round(start_s, 3),
         "stored": summary.stored,
         "fetched": summary.fetched,
         "quota_reached": summary.quota_reached,

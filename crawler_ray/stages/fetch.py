@@ -617,6 +617,7 @@ def write_docs_group(
     lossless, PSNR >= 40 dB for lossy), caption equality, phash equality.
     """
     _t0 = time.time()
+    _cpu0 = time.process_time()
     nonempty = [t for t in docs_tbls if t.num_rows]
     if not nonempty:
         return {"n": 0, "t0": _t0, "t1": time.time()}
@@ -719,6 +720,7 @@ def write_docs_group(
         "n": table.num_rows, "t0": _t0, "t1": _t1,
         "t_take": _t_take - _t0, "t_verify": _t_verify - _t_take,
         "t_render": _t_render - _t_verify, "t_write": _t1 - _t_render,
+        "t_cpu": time.process_time() - _cpu0,
     }
 
 
@@ -731,11 +733,12 @@ def combined_round(
     metas,
 ) -> dict:
     """Terminal + candidate phase for ONE seen shard -- runs INSIDE the
-    shard's host actor process (``state`` is its SeenShardLocal; mutations
-    are direct method calls: no blocked task slots, no actor round trips).
+    shard's host process (the driver for host 0, an actor for the rest;
+    ``state`` is its SeenShardLocal; mutations are direct method calls:
+    no blocked task slots, no actor round trips).
 
     ``metas`` are this shard's META_SCHEMA rows as tables: the host's
-    ``SeenHost.combined_round`` receives one batch per fetch task, splits
+    ``combined_round`` receives one batch per fetch task, splits
     them by seen shard and calls this once per owned shard, in shard-id
     order. Per-URL mutation ordering per oracle.py's convention:
     ALL terminal mutations replay in canonical (host, seq, op_idx) order
@@ -751,6 +754,8 @@ def combined_round(
     the stats dict only.
     """
     _t_task = time.time()
+    # thread CPU: host 0 shares the driver process with Ray's threads
+    _cpu0 = time.thread_time()
     ss = state.shard_id
     rdir = os.path.join(run_dir, f"round_{round_idx:05d}")
     delta_dir = os.path.join(rdir, "seen_delta")
@@ -827,4 +832,5 @@ def combined_round(
         prof[k] for k in ("t_read", "t_mut", "t_cand", "t_write")
     )
     return {"sshard": ss, "n_new": n_new, "sec": time.time() - _t_task,
-            "t0": _t_task, "t1": time.time(), **prof}
+            "t0": _t_task, "t1": time.time(),
+            "t_cpu": time.thread_time() - _cpu0, **prof}

@@ -1,4 +1,4 @@
-"""Sharded URL-seen state: cuckoo/bloom-fronted exact sets in Ray actors.
+"""Sharded URL-seen state: cuckoo/bloom-fronted exact sets in seen hosts.
 
 The reference keeps three STM containers (in-progress / completed / failed,
 /root/reference/src/Types.hs:34-36) mutated atomically by every worker
@@ -12,28 +12,37 @@ evicted a fingerprint) it is read-only, and a bloom filter is built in
 that moment from the dict's hashes; it takes every later new key and
 answers instead. Before degradation no bloom exists.
 
-The shards live in ``min(num_shards, cluster CPUs)`` host actors: host h
-owns shards i ≡ h (mod hosts). Ray starts at most one worker process per
-CPU at a time, so one actor per shard only queued process spawns (and
-held ~150 MB each); a host runs one call at a time, which keeps every
-shard's mailbox order. ``make_shards`` returns one ``SeenShard`` handle
-per shard with the actor-handle call surface; ``seen_hosts`` recovers
-the host actors from those handles.
+The shards live in ``min(num_shards, cluster CPUs)`` hosts: host h owns
+shards i ≡ h (mod hosts). Ray starts at most one worker process per CPU
+at a time, so one actor per shard only queued process spawns (and held
+~150 MB each); a host runs one call at a time, which keeps every shard's
+mailbox order. Host 0 runs in the driver process and hosts 1.. are
+``SeenHost`` actors, bodies of one class: a one-host seen tier (one CPU)
+has no parallelism to pay a process spawn for, and at P CPUs the driver,
+otherwise blocked in ``ray.get`` at the barrier, does one host's share.
+The driver's host has the actor-handle call surface (``host.m.remote``
+runs ``m`` at once on resolved arguments and returns an ObjectRef), so
+program order is its mailbox order and callers need no second path. It
+cannot be pickled: a copy in a task would run on a copy of its state.
+``make_shards`` returns one ``SeenShard`` handle per shard with the
+actor-handle call surface; ``seen_hosts`` recovers the hosts from those
+handles.
 
 Round protocol (matches the oracle's mutation convention, oracle.py):
 - during a round's fetch phase the shards are READ-ONLY: the meta-refresh
   trap guard reads the per-shard ``snapshot_hashes`` arrays published to
   the object store at round start;
-- at round end each host gets ONE ``SeenHost.combined_round`` call with
+- at round end each host gets ONE ``combined_round`` call with
   every fetch task's meta batch for its shards; it splits them by shard
   and, for each shard in id order, applies terminal mutations
   (``apply_mutations``), then candidate inserts (``check_and_insert``),
   then writes the shard's frontier and delta files. A round costs one
-  actor call per host, not per shard.
+  call per host, not per shard.
 
-The host process never imports pandas (``_NoPandas``): pyarrow would
-load it on first use, and Ray's pa.Table deserializer through ray.air,
-so everything sent to a host travels as record batches.
+An actor host never imports pandas (``_NoPandas``, installed only in
+actor processes, never in the driver): pyarrow would load it on first
+use, and Ray's pa.Table deserializer through ray.air, so everything sent
+to a host travels as record batches.
 
 Checkpointing: ``snapshot_delta`` returns rows added/changed since the last
 snapshot (per-round delta parquet, replayed in round order by ``restore``).
@@ -230,17 +239,16 @@ class _NoPandas(importlib.abc.MetaPathFinder):
         return None
 
 
-# num_cpus=0 so hosts don't reserve scheduling slots away from the fetch
-# pool; max_concurrency=1 runs one call at a time, in submission order
-@ray.remote(num_cpus=0, max_concurrency=1)
-class SeenHost:
+class _HostBody:
     """The seen shards ``shard_ids`` (of ``n_seen_shards``) in one process,
-    addressed by id."""
+    addressed by id: the body of ``SeenHost`` and of the driver's host."""
 
     def __init__(self, shard_ids: list[int], capacity: int, n_seen_shards: int):
         # importing pandas cost ~0.6 s per host on round 0's barrier, and
-        # nothing here uses it (module doc)
-        if "pandas" not in sys.modules:
+        # nothing here uses it (module doc); host 0 shares the driver with
+        # its caller, which may need pandas, so the hook is actor-only
+        in_actor = ray.get_runtime_context().get_actor_id() is not None
+        if in_actor and "pandas" not in sys.modules:
             sys.meta_path.insert(0, _NoPandas())
         self.shards = {i: SeenShardLocal(i, capacity) for i in shard_ids}
         self.n_seen_shards = n_seen_shards
@@ -275,6 +283,46 @@ class SeenHost:
         ]
 
 
+# num_cpus=0 so hosts don't reserve scheduling slots away from the fetch
+# pool; max_concurrency=1 runs one call at a time, in submission order
+SeenHost = ray.remote(num_cpus=0, max_concurrency=1)(_HostBody)
+
+
+@dataclass(frozen=True)
+class _InlineMethod:
+    fn: Any  # a bound method of the driver host's body
+
+    def remote(self, *args):
+        refs = [i for i, a in enumerate(args) if isinstance(a, ray.ObjectRef)]
+        if refs:
+            args = list(args)
+            for i, v in zip(refs, ray.get([args[i] for i in refs])):
+                args[i] = v
+        return ray.put(self.fn(*args))
+
+
+class _DriverHost:
+    """Host 0: a ``_HostBody`` in the calling process with the actor-handle
+    call surface. ``host.method.remote(*args)`` resolves ObjectRef
+    arguments, runs the method at once and returns an ObjectRef to the
+    result, so program order is its mailbox order. It cannot be pickled:
+    a copy in a task would run on a copy of the shards' state."""
+
+    def __init__(self, *args):
+        self._body = _HostBody(*args)
+
+    def __getattr__(self, name: str) -> _InlineMethod:
+        if name.startswith("_"):
+            raise AttributeError(name)
+        return _InlineMethod(getattr(self._body, name))
+
+    def __reduce__(self):
+        raise TypeError(
+            "seen host 0 runs in the driver and cannot leave it; pass "
+            "ObjectRefs of its results instead of its shard handles"
+        )
+
+
 @dataclass(frozen=True)
 class _ShardMethod:
     call: Any  # the host's ``call`` actor method
@@ -286,9 +334,9 @@ class _ShardMethod:
 
 
 class SeenShard:
-    """Picklable handle to one shard in its host actor (``self.host``):
+    """Handle to one shard in its host (``self.host``):
     ``shard.check_and_insert.remote(...)`` behaves as on an actor handle
-    of a one-shard actor."""
+    of a one-shard actor. Picklable when its host is an actor."""
 
     def __init__(self, host, shard_id: int):
         self.host = host
@@ -303,7 +351,7 @@ class SeenShard:
 def make_shards(num_shards: int, capacity_per_shard: int = 1 << 17) -> list[SeenShard]:
     n_hosts = max(1, min(num_shards, int(ray.cluster_resources().get("CPU", 1))))
     hosts = [
-        SeenHost.remote(
+        (_DriverHost if h == 0 else SeenHost.remote)(
             list(range(h, num_shards, n_hosts)), capacity_per_shard, num_shards
         )
         for h in range(n_hosts)
@@ -312,8 +360,9 @@ def make_shards(num_shards: int, capacity_per_shard: int = 1 << 17) -> list[Seen
 
 
 def seen_hosts(shards: list[SeenShard]) -> list:
-    """The distinct host actors behind ``shards``, host h owning shards
-    i ≡ h (mod len(hosts)) as ``make_shards`` lays them out."""
+    """The distinct hosts behind ``shards`` (host 0 in the driver, then
+    the actors), host h owning shards i ≡ h (mod len(hosts)) as
+    ``make_shards`` lays them out."""
     hosts = []
     for s in shards:
         if s.host in hosts:

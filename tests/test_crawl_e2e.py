@@ -18,7 +18,7 @@ from crawler_ray.codecs import decode_image, psnr
 from crawler_ray.fetchsim import FetchPolicy
 from crawler_ray.oracle import run_oracle
 from crawler_ray.pipelines.crawl import CrawlConfig, crawl, read_crawled, read_order
-from crawler_ray.state.seen import STATUS_NAMES, make_shards
+from crawler_ray.state.seen import STATUS_NAMES, make_shards, seen_hosts
 from crawler_ray.urlkit import IncludePatterns
 from crawler_ray.webgen import WebSpec, ensure_web_sharded
 
@@ -89,6 +89,38 @@ def test_engine_matches_oracle(ray_session, web, policy, tmp_path):
     gold_chain = {d["url"]: d["redirect_chain"] for d in golden.crawled}
     for _, row in docs.iterrows():
         assert list(row["redirect_chain"]) == gold_chain[row["url"]]
+
+
+def test_one_seen_shard_runs_in_the_driver(ray_session, web, policy, tmp_path):
+    """At n_seen_shards=1 the only seen host is the driver's own: the crawl
+    starts no seen actor and still matches the oracle."""
+    from ray.actor import ActorHandle
+
+    spec, corpus_path = web
+    seeds = [spec.url_of(i) for i in range(4)]
+    golden = run_oracle(spec, policy, seeds)
+    cfg = CrawlConfig(
+        spec=spec, corpus_path=corpus_path, seeds=seeds, policy=policy,
+        run_dir=str(tmp_path / "run"), n_seen_shards=1,
+    )
+    shards = make_shards(1, cfg.seen_capacity_per_shard)
+    hosts = seen_hosts(shards)
+    assert len(hosts) == 1
+    assert not any(isinstance(h, ActorHandle) for h in hosts)
+    summary = crawl(cfg, shards=shards)
+
+    (t,) = ray.get([s.full_table.remote() for s in shards])
+    seen = {
+        u: STATUS_NAMES[c]
+        for u, c in zip(t["url"].to_pylist(), t["status"].to_pylist())
+    }
+    assert seen == golden.seen
+    order = read_order(cfg.run_dir)
+    got = list(
+        zip(*(order[c].to_pylist() for c in ("round", "host", "seq", "url")))
+    )
+    assert got == sorted(golden.order)
+    assert summary.stored == len(golden.crawled)
 
 
 def test_payload_invariant(ray_session, web, policy, tmp_path):

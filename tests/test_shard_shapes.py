@@ -9,10 +9,13 @@ cut into tasks.
   write the same frontier and delta bytes as the per-shard body run on
   each shard's own metas.
 - ``read_crawled`` of a run with no docs has the non-empty schema.
+- Host 0 runs in the driver: only the actor hosts are kept free of
+  pandas, and the driver can still import it.
 """
 
 import glob
 import os
+import subprocess
 import sys
 
 import numpy as np
@@ -103,10 +106,11 @@ def test_shard_shapes_match_oracle(ray_session, webs, policy, tmp_path, monkeypa
             ),
             shards=shards,
         )
-        # a whole crawl leaves the seen hosts without pandas
+        # a whole crawl leaves the actor seen hosts without pandas (host
+        # 0 runs in this process, which may import what it likes)
         assert not any(ray.get([
             h.__ray_call__.remote(lambda _: "pandas" in sys.modules)
-            for h in seen_hosts(shards)
+            for h in seen_hosts(shards)[1:]
         ])), shape
         order = read_order(run_dir)
         got_order = list(
@@ -211,6 +215,30 @@ def test_host_combined_equals_per_shard(ray_session, tmp_path):
             os.path.join(shard_dir, r), "rb"
         ) as b:
             assert a.read() == b.read(), r
+
+
+def test_driver_host_leaves_pandas_importable(tmp_path):
+    """The no-pandas import hook is for actor hosts only: a driver that
+    had not loaded pandas can still import it after ``make_shards``
+    built host 0 in it."""
+    code = (
+        "import sys, ray\n"
+        "ray.init(address='local', num_cpus=1, include_dashboard=False,"
+        " logging_level='ERROR')\n"
+        "from crawler_ray.state.seen import make_shards\n"
+        "assert 'pandas' not in sys.modules\n"
+        "shards = make_shards(2, 1 << 10)\n"
+        "assert ray.get(shards[1].counts.remote())['total'] == 0\n"
+        "import pandas\n"
+        "ray.shutdown()\n"
+    )
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    env = {**os.environ, "PYTHONPATH": root}
+    out = subprocess.run(
+        [sys.executable, "-c", code], cwd=str(tmp_path), env=env,
+        capture_output=True, text=True, timeout=300,
+    )
+    assert out.returncode == 0, out.stderr[-2000:]
 
 
 def test_read_crawled_empty_schema_matches(ray_session, webs, policy, tmp_path):

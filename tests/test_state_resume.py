@@ -2,6 +2,7 @@
 and the kill-after-round-k resume path (byte-identical outputs)."""
 
 import glob
+import os
 
 import numpy as np
 import pytest
@@ -216,29 +217,91 @@ def test_restore_matches_production_replay():
 
 
 def test_make_shards_packs_shards_into_cpu_hosts(ray_session):
-    """One handle per shard over min(shards, CPUs) host actors; host h
-    owns shards i = h (mod hosts), and a handle works inside a task."""
-    import ray
+    """One handle per shard over min(shards, CPUs) hosts; host h owns
+    shards i = h (mod hosts). Host 0 runs in the driver and cannot be
+    pickled; hosts 1..3 are actors whose handles work inside a task."""
+    import pickle
 
-    from crawler_ray.state.seen import make_shards
+    import ray
+    from ray.actor import ActorHandle
+
+    from crawler_ray.state.seen import make_shards, seen_hosts
 
     shards = make_shards(8, 1 << 10)
     n_hosts = min(8, int(ray.cluster_resources()["CPU"]))
     assert len(shards) == 8
     assert len({s.host for s in shards}) == n_hosts == 4
     assert all(s.host == shards[i % n_hosts].host for i, s in enumerate(shards))
+    hosts = seen_hosts(shards)
+    assert not isinstance(hosts[0], ActorHandle)
+    assert all(isinstance(h, ActorHandle) for h in hosts[1:])
     urls, hs = _urls_and_hashes(64)
     by_shard = [[i for i in range(64) if hs[i] % 8 == m] for m in range(8)]
     ray.get([
         shards[m].check_and_insert.remote([urls[i] for i in ix], hs[ix])
         for m, ix in enumerate(by_shard)
     ])
+    totals = [c["total"] for c in ray.get([s.counts.remote() for s in shards])]
+    assert totals == [len(ix) for ix in by_shard]
 
     @ray.remote
-    def totals(handles):
+    def actor_totals(handles):
         return [c["total"] for c in ray.get([h.counts.remote() for h in handles])]
 
-    assert ray.get(totals.remote(shards)) == [len(ix) for ix in by_shard]
+    on_actors = [s for s in shards if s.host is not hosts[0]]
+    assert ray.get(actor_totals.remote(on_actors)) == [
+        len(ix) for m, ix in enumerate(by_shard) if m % n_hosts
+    ]
+    # a pickled driver host would run on a copy of its shards' state
+    with pytest.raises(TypeError):
+        pickle.dumps(shards[0])
+    with pytest.raises(TypeError):
+        actor_totals.remote(shards)
+
+
+def test_resume_at_one_seen_shard_is_byte_identical(ray_session, tmp_path):
+    """n_seen_shards=1: the one seen host is the driver's. A crawl killed
+    in round 3 and resumed from its checkpoint ends byte-identical to an
+    undisturbed run."""
+    from crawler_ray.fetchsim import FetchPolicy
+    from crawler_ray.pipelines.checkpoint import committed_rounds, resume_crawl
+    from crawler_ray.pipelines.crawl import CrawlConfig, crawl, read_crawled, read_order
+    from crawler_ray.urlkit import IncludePatterns
+    from crawler_ray.webgen import ensure_web_sharded
+
+    spec, corpus = ensure_web_sharded(250, 10, 4, seed=7, cache_dir=str(tmp_path / "web"))
+    policy = FetchPolicy(include=IncludePatterns(domain_patterns=frozenset([".test"])))
+    seeds = [spec.url_of(i) for i in range(3)]
+    base = dict(spec=spec, corpus_path=corpus, seeds=seeds, policy=policy, n_seen_shards=1)
+    crawl(CrawlConfig(run_dir=str(tmp_path / "a"), **base))
+
+    def kill_in_round_3(rnd, shards):
+        if rnd == 3:
+            raise RuntimeError("killed")
+
+    cfg_b = CrawlConfig(run_dir=str(tmp_path / "b"), fault_hook=kill_in_round_3, **base)
+    with pytest.raises(RuntimeError, match="killed"):
+        crawl(cfg_b)
+    assert committed_rounds(str(tmp_path / "b")) == [0, 1]
+    cfg_b.fault_hook = None
+    resume_crawl(cfg_b)
+
+    assert read_order(str(tmp_path / "a")).equals(read_order(str(tmp_path / "b")))
+    da = read_crawled(str(tmp_path / "a")).to_pandas().sort_values(["round", "host", "seq"])
+    db = read_crawled(str(tmp_path / "b")).to_pandas().sort_values(["round", "host", "seq"])
+    assert list(da["url"]) == list(db["url"])
+    assert [bytes(x) for x in da["content"]] == [bytes(x) for x in db["content"]]
+    for name in ("seen_delta", "order"):
+        files = {
+            side: sorted(glob.glob(str(tmp_path / side / "round_*" / name / "*.parquet")))
+            for side in "ab"
+        }
+        assert [os.path.relpath(f, tmp_path / "a") for f in files["a"]] == [
+            os.path.relpath(f, tmp_path / "b") for f in files["b"]
+        ]
+        for x, y in zip(files["a"], files["b"]):
+            with open(x, "rb") as f1, open(y, "rb") as f2:
+                assert f1.read() == f2.read(), x
 
 
 def test_warc_entry_layout():
