@@ -7,13 +7,14 @@ mid-crawl resume with per-partition lineage. Layout written by
 pipelines.crawl:
 
     run_dir/
-      frontier_00000/…parquet          round-k input frontier
+      frontier_0000k/from_<h>.parquet  round-k input frontier, one file per
+                                       seen host h (its lowest shard id)
       round_00000/
-        docs/part-<shard>.parquet      stored docs (payload partition files)
-        order/…parquet                 canonical (host, seq) processing log
-        logs/…parquet                  warning/error stream
-        seen_delta/shard-*.parquet     per-shard seen-set delta
-        metrics/part-*.parquet         optional fetch timings
+        docs/part-<group>.parquet      stored docs (one per docs task)
+        order/part-<lead>.parquet      canonical (host, seq) processing log
+        logs/part-<lead>.parquet       warning/error stream
+        seen_delta/shard-<h>.parquet   seen host h's delta, rows by ``shard``
+        metrics/part-<lead>.parquet    optional fetch timings
         MANIFEST.json                  commit record {round, stats, complete}
       RUN_MANIFEST.json                end-of-run summary
 
@@ -32,6 +33,8 @@ import glob
 import json
 import os
 
+import numpy as np
+import pyarrow as pa
 import pyarrow.parquet as pq
 import ray
 
@@ -50,20 +53,23 @@ def committed_rounds(run_dir: str) -> list[int]:
 
 
 def rebuild_shards(cfg: CrawlConfig, upto_round: int):
-    """Fresh seen shards restored from deltas of rounds [0, upto_round]."""
+    """Fresh seen shards restored from deltas of rounds [0, upto_round].
+    Each delta file is split by its ``shard`` column, keeping row order,
+    so a file of one seen host's shards and one of a single shard (runs
+    written before the per-host layout) restore alike."""
     shards = make_shards(cfg.n_seen_shards, cfg.seen_capacity_per_shard)
     for rnd in range(upto_round + 1):
         ddir = os.path.join(cfg.run_dir, f"round_{rnd:05d}", "seen_delta")
         refs = []
         for f in sorted(glob.glob(os.path.join(ddir, "shard-*.parquet"))):
-            t = pq.read_table(f)
-            if t.num_rows == 0:
-                continue
-            shard_id = int(t["shard"][0].as_py())
-            # one record batch: a pa.Table argument would make the seen
-            # host import pandas to deserialize it (state/seen.py SeenHost)
-            batch = t.select(["url", "status"]).combine_chunks().to_batches()[0]
-            refs.append(shards[shard_id].restore.remote(batch))
+            t = pq.read_table(f, columns=["url", "status", "shard"])
+            sid = t["shard"].to_numpy()
+            for shard_id in np.unique(sid):
+                part = t.filter(pa.array(sid == shard_id)).select(["url", "status"])
+                # one record batch: a pa.Table argument would make the seen
+                # host import pandas to deserialize it (state/seen.py SeenHost)
+                batch = part.combine_chunks().to_batches()[0]
+                refs.append(shards[int(shard_id)].restore.remote(batch))
         ray.get(refs)
     return shards
 

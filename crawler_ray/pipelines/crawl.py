@@ -14,11 +14,13 @@ Each round is two RAW-Ray-task fan-outs with file-partitioned exchange
         |  snapshot in, order/logs written in place)
     per-seen-HOST Arrow meta batches via Ray multi-return (object-store
         |  exchange, shuffle 2 — no files; see stages/fetch.py)
-        v  one combined call per seen host, running each of its shards
-        |  in id order (canonical-order terminal mutations, candidate
-        |  dedup + insertIfNotDone, delta checkpoint); host 0 runs in
-        |  this driver process, hosts 1..P-1 are actors
-    frontier_{k+1}/from_{m}.parquet + MANIFEST
+        v  one combined call per seen host: one canonical sort of the
+        |  host's rows, then each of its shards in id order (terminal
+        |  mutations, candidate dedup + insertIfNotDone); host 0 runs
+        |  in this driver process, hosts 1..P-1 are actors
+    frontier_{k+1}/from_{h}.parquet + round_k/seen_delta/shard-{h}.parquet
+        (one of each per seen host, h = the host's lowest shard id)
+        + MANIFEST
 
 Beside the barrier, D docs tasks per round (payload take + verify +
 docs parquet) each take one docs-metadata return of every fetch task.
@@ -463,8 +465,7 @@ def crawl(
         snap_pack = ray.put([s.snapshot_hashes.remote() for s in shards])
         fetch_rets = [
             _fetch_task.options(num_returns=1 + D + len(hosts)).remote(
-                grp if len(grp) > 1 else grp[0],
-                ctx_ref, rnd, frontier_path, csnap, snap_pack, D,
+                grp, ctx_ref, rnd, frontier_path, csnap, snap_pack, D,
             )
             for grp in task_shards
         ]
@@ -487,8 +488,9 @@ def crawl(
         #     before every fetch task finished, so the seen set stays
         #     frozen during the fetch phase). Host 0 runs in this process
         #     (state/seen.py): its call runs after the fetch phase, beside
-        #     the actor hosts' calls. Each shard writes its survivors to
-        #     next_path; a call returns the stats of its host's shards.
+        #     the actor hosts' calls. Each host writes its shards'
+        #     survivors to one file in next_path and returns one stats
+        #     dict.
         def _combined(p):
             return hosts[p].combined_round.remote(
                 cfg.n_fetch_shards, cfg.run_dir, rnd, next_path,
@@ -525,10 +527,7 @@ def crawl(
         ):
             summary.cookies[name] = val
 
-        stats2 = sorted(
-            (st for per_host in ray.get(comb_rets) for st in per_host),
-            key=lambda st: st["sshard"],
-        )
+        stats2 = ray.get(comb_rets)  # one stats dict per seen host
         frontier_rows = sum(r["n_new"] for r in stats2)
         _t_combined = time.time() - _t_round - _t_fetch
 
@@ -543,6 +542,7 @@ def crawl(
             "sec_combined": round(_t_combined, 3),
             "sec_round": round(time.time() - _t_round, 3),
             # straggler diagnostics: per-task wall time sum/max per stage
+            # (fetch per task; comb_task_* and comb_spans per seen host)
             "fetch_task_sum": round(sum(f_secs), 3),
             "fetch_task_max": round(max(f_secs), 3),
             "comb_task_sum": round(sum(c_secs), 3),
@@ -731,13 +731,12 @@ def _trim_round_docs(cfg: CrawlConfig, rnd: int, room: int) -> None:
     room = max(0, room)
     # pass 1: keys only, one numpy lexsort (VERDICT r2 #3 — the Python
     # sorted()/`in kept` pair made the quota round O(rows) Python)
-    import pandas as pd
-
     tabs = [pq.read_table(f, columns=["host", "seq"]) for f in files]
     counts = [t.num_rows for t in tabs]
     keys = pa.concat_tables(tabs)
-    host_codes, _ = pd.factorize(
-        keys["host"].combine_chunks().to_numpy(zero_copy_only=False), sort=True
+    _, host_codes = np.unique(
+        keys["host"].combine_chunks().to_numpy(zero_copy_only=False),
+        return_inverse=True,
     )
     seqs = keys["seq"].combine_chunks().to_numpy(zero_copy_only=False)
     order = np.lexsort((seqs, host_codes))

@@ -49,8 +49,9 @@ Data exchange, round-2 layout (re-planned after measuring round 1):
   load behind the 32-worker core-second inflation. Grouped by corpus
   shard, those rows are takes from the shard files the owning group
   maps anyway (sources/corpus.py).
-- docs / order / logs / metrics / seen deltas: per-shard partition files
-  per round (checkpoint lineage + the payload sink).
+- docs / order / logs / metrics: one partition file per task per round;
+  seen deltas: one file per seen HOST per round, beside its frontier
+  file (checkpoint lineage + the payload sink; see ``combined_round``).
 
 The per-round fan-outs are plain ``@ray.remote`` tasks (one per shard)
 instead of Ray Data executions — the streaming-executor startup (~seconds
@@ -62,8 +63,9 @@ Seen-set mutation convention (oracle.py; ADVICE r1 canonical-order fix):
 each outcome emits its terminal mutations TAGGED with the outcome's
 canonical key — stored: (host, seq, 0)=unconditional delete of the frontier
 URL + (host, seq, j)=complete j-th chain element; failed: (host, seq, 0)=
-mark failed. The combined task sorts all mutations of its seen shard by
-that key and replays them in order, exactly the oracle's interleaving.
+mark failed. The combined call sorts all mutations of its seen host by
+that key once and replays each shard's in order, exactly the oracle's
+interleaving.
 
 Per-worker-process state (the reference's shared HTTP ``Manager``,
 Crawl.hs:42-44) lives in a module-level cache: the corpus handle is opened
@@ -96,7 +98,7 @@ FRONTIER_SCHEMA = pa.schema(
     ]
 )
 
-# metadata rows exchanged fetch -> combined stage (per seen-shard files):
+# metadata rows exchanged fetch -> combined stage (one batch per seen host):
 # kind 'mut' rows carry a terminal mutation (op: 0=delete, 2=completed,
 # 3=failed) keyed by the outcome's canonical (p_host, p_seq, link_idx=op
 # index); kind 'link' rows are candidate URLs keyed by discovery key.
@@ -284,7 +286,7 @@ def read_frontier_group(frontier_dir: str, shards) -> pa.Table | None:
 
 
 def fetch_shard(
-    shards_of_task,
+    shards_of_task: list[int],
     ctx: dict,
     round_idx: int,
     frontier_dir: str,
@@ -293,10 +295,10 @@ def fetch_shard(
     n_docs_groups: int,
 ) -> dict:
     """Process one GROUP of fetch shards' frontier rows (raw Ray task
-    body). ``shards_of_task`` is an int (one shard — the usual case) or a
-    list of consecutive shard ids: when a BFS-drain round's frontier is
-    tiny, the driver folds many shards into few tasks so per-round
-    latency is task dispatch for a handful of tasks, not n_fetch_shards.
+    body). ``shards_of_task`` is a list of consecutive shard ids (often
+    one): when a BFS-drain round's frontier is tiny, the driver folds
+    many shards into few tasks so per-round latency is task dispatch for
+    a handful of tasks, not n_fetch_shards.
     Folding is safe for politeness and determinism: hosts never span
     shards, per-host FIFO order and seq assignment are per-host, and
     outputs are keyed by the group's lead shard.
@@ -313,8 +315,9 @@ def fetch_shard(
 
     The task's frontier rows are read from the ``frontier_dir`` lineage
     files the previous round's combined calls (or seeding, injection or a
-    resume) wrote: each file is opened once and only the row groups that
-    cover the task's shards are read (``read_frontier_group``).
+    resume) wrote, one per seen host: each file is opened once and only
+    the row groups that cover the task's shards are read
+    (``read_frontier_group``).
 
     Returns a (1 + D + P)-tuple for Ray multi-return: a stats dict
     {shard, n_proc, n_docs, shared_cookies, timings}; one stored-docs
@@ -330,10 +333,7 @@ def fetch_shard(
     more than the crawl's real work.
     """
     _t_task = time.time()
-    shards = (
-        [shards_of_task] if isinstance(shards_of_task, int) else list(shards_of_task)
-    )
-    shard = shards[0]  # group lead: names this task's partition files
+    shard = shards_of_task[0]  # group lead: names this task's partition files
     spec = ctx["spec"]
     policy = ctx["policy"]
     n_seen_shards = ctx["n_seen_shards"]
@@ -431,7 +431,7 @@ def fetch_shard(
         j = int(np.searchsorted(arr, np.uint64(h)))
         return j < len(arr) and int(arr[j]) == h
 
-    group = read_frontier_group(frontier_dir, shards)
+    group = read_frontier_group(frontier_dir, shards_of_task)
     if group is None:
         return _returns(
             {
@@ -725,38 +725,41 @@ def write_docs_group(
 
 
 def combined_round(
-    state,
+    shards: dict,
+    n_seen_shards: int,
     n_fetch_shards: int,
     run_dir: str,
     round_idx: int,
     next_frontier_dir: str,
     metas,
 ) -> dict:
-    """Terminal + candidate phase for ONE seen shard -- runs INSIDE the
-    shard's host process (the driver for host 0, an actor for the rest;
-    ``state`` is its SeenShardLocal; mutations are direct method calls:
-    no blocked task slots, no actor round trips).
+    """Terminal + candidate phase for ONE seen host -- runs INSIDE the
+    host's process (the driver for host 0, an actor for the rest;
+    ``shards`` is its {shard_id: SeenShardLocal}; mutations are direct
+    method calls: no blocked task slots, no actor round trips).
 
-    ``metas`` are this shard's META_SCHEMA rows as tables: the host's
-    ``combined_round`` receives one batch per fetch task, splits
-    them by seen shard and calls this once per owned shard, in shard-id
-    order. Per-URL mutation ordering per oracle.py's convention:
-    ALL terminal mutations replay in canonical (host, seq, op_idx) order
-    (ADVICE r1 -- releases interleave with completions exactly as the
-    oracle pops), then candidate insertIfNotDone with within-round dedup
-    by minimal discovery key.
+    ``metas`` (one META_SCHEMA batch per fetch task) are sorted ONCE into
+    canonical (host, seq, op_idx) order; a row's seen shard is ``uhash %
+    n_seen_shards``. Each shard, in id order, replays ALL its terminal
+    mutations in that order (ADVICE r1 -- releases interleave with
+    completions exactly as the oracle pops), then candidate
+    insertIfNotDone with within-round dedup by minimal discovery key. A
+    URL lives in one shard, so every shard sees the rows, in the order, a
+    call of its own would.
 
     Survivors are written as ONE frontier file, one row group per
     frontier group of fetch shards (``write_frontier_shards``): the next
     round's fetch tasks read their rows from it, and it is the resume
-    lineage. The shard's seen-delta checkpoint file is written LAST so a
-    committed round's delta reflects every mutation of the round. Returns
-    the stats dict only.
+    lineage. The shards' seen deltas go LAST into ONE delta file (rows
+    tagged by ``shard``), so a committed round's delta reflects every
+    mutation of the round. Both are named by the host's lowest shard id:
+    a round writes 2P files, not two per seen shard. Returns the stats
+    dict only.
     """
     _t_task = time.time()
     # thread CPU: host 0 shares the driver process with Ray's threads
     _cpu0 = time.thread_time()
-    ss = state.shard_id
+    lead = min(shards)
     rdir = os.path.join(run_dir, f"round_{round_idx:05d}")
     delta_dir = os.path.join(rdir, "seen_delta")
     os.makedirs(next_frontier_dir, exist_ok=True)
@@ -764,73 +767,66 @@ def combined_round(
 
     nonempty = [m for m in metas if m.num_rows]
     n_new = 0
-    prof = {"t_read": 0.0, "t_mut": 0.0, "t_cand": 0.0, "t_write": 0.0, "t_delta": 0.0}
+    prof = dict.fromkeys(("t_read", "t_mut", "t_cand", "t_write", "t_delta"), 0.0)
+    last = [_t_task]
+
+    def lap(key: str) -> None:
+        now = time.time()
+        prof[key], last[0] = now - last[0], now
+
     if nonempty:
-        t = pa.concat_tables(nonempty)
-        prof["t_read"] = time.time() - _t_task
-        is_mut = pc.equal(t["kind"], "mut").combine_chunks().to_numpy(
-            zero_copy_only=False
-        )
+        t = pa.Table.from_batches(nonempty).combine_chunks()
+        is_mut = pc.equal(t["kind"], "mut").to_numpy(zero_copy_only=False)
         # vectorized canonical (p_host, p_seq, link_idx) order: np.unique
         # codes follow p_host's lex order, then one lexsort — only the
         # PER-URL relative order is semantic (mutations of distinct URLs
         # commute), and this reproduces the oracle's exactly
         _, ph_codes = np.unique(
-            t["p_host"].combine_chunks().to_numpy(zero_copy_only=False),
-            return_inverse=True,
+            t["p_host"].to_numpy(zero_copy_only=False), return_inverse=True
         )
-        ps_np = t["p_seq"].combine_chunks().to_numpy(zero_copy_only=False)
-        li_np = t["link_idx"].combine_chunks().to_numpy(zero_copy_only=False)
-        order = np.lexsort((li_np, ps_np, ph_codes))
+        order = np.lexsort(
+            (t["link_idx"].to_numpy(), t["p_seq"].to_numpy(), ph_codes)
+        )
+        urls = t["url"].to_numpy(zero_copy_only=False)
+        all_h = t["uhash"].to_numpy()
+        sid = all_h % np.uint64(n_seen_shards)
+        lap("t_read")
 
         mut_order = order[is_mut[order]]
-        if len(mut_order):
-            mut_t = t.take(pa.array(mut_order, pa.int64()))
-            mu = mut_t["url"].to_pylist()
-            mh = (
-                mut_t["uhash"]
-                .combine_chunks()
-                .to_numpy(zero_copy_only=False)
-                .astype(np.uint64)
-            )
-            mo = mut_t["op"].to_pylist()
+        ops = t["op"].to_numpy()
+        for i, state in sorted(shards.items()):
+            rows = mut_order[sid[mut_order] == i]
             # terminal mutations durable before candidate inserts
-            state.apply_mutations(mu, mh, mo)
-        prof["t_mut"] = time.time() - _t_task - prof["t_read"]
+            state.apply_mutations(urls[rows].tolist(), all_h[rows], ops[rows].tolist())
+        lap("t_mut")
 
+        # within-round dedup: first occurrence in canonical order wins
         cand_order = order[~is_mut[order]]
-        if len(cand_order):
-            # within-round dedup: first occurrence in canonical order wins
-            cand_urls = t["url"].combine_chunks().to_numpy(zero_copy_only=False)
-            _, first = np.unique(cand_urls[cand_order], return_index=True)
-            keep_order = cand_order[np.sort(first)]
-            uniq = [cand_urls[i] for i in keep_order]
-            all_h = (
-                t["uhash"].combine_chunks().to_numpy(zero_copy_only=False)
+        _, first = np.unique(urls[cand_order], return_index=True)
+        keep_order = cand_order[np.sort(first)]
+        ok = np.zeros(len(keep_order), dtype=bool)
+        for i, state in sorted(shards.items()):
+            pos = np.flatnonzero(sid[keep_order] == i)
+            rows = keep_order[pos]
+            ok[pos] = state.check_and_insert(urls[rows].tolist(), all_h[rows])
+        keep = keep_order[ok]
+        n_new = len(keep)
+        lap("t_cand")
+        if n_new:
+            sub = t.take(pa.array(keep, pa.int64())).select(
+                ["url", "host", "p_host", "p_seq", "link_idx"]
             )
-            hashes = all_h[keep_order].astype(np.uint64)
-            ok = np.asarray(state.check_and_insert(uniq, hashes), dtype=bool)
-            keep = keep_order[ok]
-            n_new = len(keep)
-            prof["t_cand"] = (
-                time.time() - _t_task - prof["t_read"] - prof["t_mut"]
+            write_frontier_shards(
+                sub, next_frontier_dir, n_fetch_shards, f"from_{lead:05d}"
             )
-            if n_new:
-                sub = t.take(pa.array(keep, pa.int64())).select(
-                    ["url", "host", "p_host", "p_seq", "link_idx"]
-                )
-                write_frontier_shards(
-                    sub, next_frontier_dir, n_fetch_shards, f"from_{ss:05d}"
-                )
-            prof["t_write"] = time.time() - _t_task - sum(
-                prof[k] for k in ("t_read", "t_mut", "t_cand")
-            )
+        lap("t_write")
 
-    # per-shard checkpoint delta (was a separate driver round-trip in r1)
-    state.write_delta(delta_dir)
-    prof["t_delta"] = time.time() - _t_task - sum(
-        prof[k] for k in ("t_read", "t_mut", "t_cand", "t_write")
+    # the host's checkpoint delta: every shard's rows, in shard-id order
+    _atomic_write(
+        os.path.join(delta_dir, f"shard-{lead:05d}.parquet"),
+        pa.concat_tables([s.snapshot_delta() for _, s in sorted(shards.items())]),
     )
-    return {"sshard": ss, "n_new": n_new, "sec": time.time() - _t_task,
+    lap("t_delta")
+    return {"shard": lead, "n_new": n_new, "sec": time.time() - _t_task,
             "t0": _t_task, "t1": time.time(),
             "t_cpu": time.thread_time() - _cpu0, **prof}

@@ -33,11 +33,11 @@ Round protocol (matches the oracle's mutation convention, oracle.py):
   trap guard reads the per-shard ``snapshot_hashes`` arrays published to
   the object store at round start;
 - at round end each host gets ONE ``combined_round`` call with
-  every fetch task's meta batch for its shards; it splits them by shard
-  and, for each shard in id order, applies terminal mutations
+  every fetch task's meta batch for its shards; it sorts them once and,
+  for each shard in id order, applies terminal mutations
   (``apply_mutations``), then candidate inserts (``check_and_insert``),
-  then writes the shard's frontier and delta files. A round costs one
-  call per host, not per shard.
+  then writes ONE frontier file and ONE delta file for all its shards. A
+  seen shard is a routing key and filter boundary; the host is the writer.
 
 An actor host never imports pandas (``_NoPandas``, installed only in
 actor processes, never in the driver): pyarrow would load it on first
@@ -45,13 +45,13 @@ use, and Ray's pa.Table deserializer through ray.air, so everything sent
 to a host travels as record batches.
 
 Checkpointing: ``snapshot_delta`` returns rows added/changed since the last
-snapshot (per-round delta parquet, replayed in round order by ``restore``).
+snapshot, tagged with the shard id (the host's per-round delta parquet,
+split by shard and replayed in round order by ``restore``).
 """
 
 from __future__ import annotations
 
 import importlib.abc
-import os
 import sys
 from dataclasses import dataclass
 from typing import Any
@@ -165,18 +165,6 @@ class SeenShardLocal:
             }
         )
 
-    def write_delta(self, dir_path: str) -> int:
-        """Write this shard's since-last-snapshot delta parquet (checkpoint);
-        the actor writes its own file so deltas never transit the driver."""
-        import pyarrow.parquet as pq
-
-        t = self.snapshot_delta()
-        path = os.path.join(dir_path, f"shard-{self.shard_id:05d}.parquet")
-        tmp = f"{path}.tmp.{os.getpid()}"
-        pq.write_table(t, tmp)
-        os.replace(tmp, path)
-        return t.num_rows
-
     def restore(self, table: pa.Table | pa.RecordBatch) -> None:
         """Replay one delta table (a record batch when sent to a host). A
         URL absent from the exact tier at its row is hashed once and new to
@@ -263,24 +251,15 @@ class _HostBody:
         round_idx: int,
         next_frontier_dir: str,
         *metas: pa.RecordBatch,
-    ) -> list[dict]:
-        """The round-end phase of every shard this host owns, in one call:
-        ``metas`` (one META_SCHEMA batch per fetch task) are split by
-        ``uhash % n_seen_shards``, then stages.fetch.combined_round runs
-        for each owned shard in shard-id order. A stable split keeps each
-        shard's rows in fetch-task order, so every shard sees exactly the
-        input a per-shard call would. Returns the per-shard stats dicts."""
+    ) -> dict:
+        """The round-end phase of every shard this host owns
+        (stages.fetch.combined_round), one META_SCHEMA batch per fetch task."""
         from ..stages.fetch import combined_round as _logic
 
-        t = pa.Table.from_batches(metas)
-        sid = t["uhash"].to_numpy() % np.uint64(self.n_seen_shards)
-        return [
-            _logic(
-                shard, n_fetch_shards, run_dir, round_idx, next_frontier_dir,
-                [t.take(pa.array(np.flatnonzero(sid == i), pa.int64()))],
-            )
-            for i, shard in sorted(self.shards.items())
-        ]
+        return _logic(
+            self.shards, self.n_seen_shards, n_fetch_shards, run_dir,
+            round_idx, next_frontier_dir, metas,
+        )
 
 
 # num_cpus=0 so hosts don't reserve scheduling slots away from the fetch

@@ -6,8 +6,8 @@ cut into tasks.
   tasks both fold, must reproduce the single-threaded oracle: read order,
   the seen set replayed from ``seen_delta``, and the stored-doc keys.
 - ``SeenHost.combined_round`` (one call for all of a host's shards) must
-  write the same frontier and delta bytes as the per-shard body run on
-  each shard's own metas.
+  write one frontier and one delta file holding, per shard, the rows a
+  one-shard call on that shard's own metas writes.
 - ``read_crawled`` of a run with no docs has the non-empty schema.
 - Host 0 runs in the driver: only the actor hosts are kept free of
   pandas, and the driver can still import it.
@@ -20,6 +20,7 @@ import sys
 
 import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
 import pyarrow.parquet as pq
 import pytest
 import ray
@@ -127,10 +128,15 @@ def test_shard_shapes_match_oracle(ray_session, webs, policy, tmp_path, monkeypa
         )
         assert got_docs == want_docs, shape
         # a round never starts more docs tasks than docs groups or
-        # corpus shards
+        # corpus shards; a round writes one seen delta file per seen host
+        # and at most one frontier file per seen host
+        n_hosts = len(seen_hosts(shards))
         for rdir in glob.glob(os.path.join(run_dir, "round_*")):
             n_parts = len(os.listdir(os.path.join(rdir, "docs")))
             assert n_parts <= min(n_docs, n_corpus), shape
+            assert len(os.listdir(os.path.join(rdir, "seen_delta"))) == n_hosts, shape
+        for fdir in glob.glob(os.path.join(run_dir, "frontier_*")):
+            assert len(os.listdir(fdir)) <= n_hosts, shape
 
 
 def _meta_batch(rows: list[tuple]) -> pa.RecordBatch:
@@ -139,9 +145,16 @@ def _meta_batch(rows: list[tuple]) -> pa.RecordBatch:
     )
 
 
+def _rows(path: str) -> list[tuple]:
+    t = pq.read_table(path)
+    return list(zip(*(t[c].to_pylist() for c in t.column_names)))
+
+
 def test_host_combined_equals_per_shard(ray_session, tmp_path):
-    """A host owning shards 1 and 4 of 6 writes, for each, the frontier
-    and delta bytes the per-shard body writes from that shard's metas."""
+    """One combined call for a host owning shards 1 and 4 of 6 writes one
+    frontier and one delta file, both named by shard 1. Per shard, its
+    delta rows are those of a one-shard call on that shard's own metas,
+    and the frontier rows are the union of the one-shard calls'."""
     n_seen, own, n_fetch, rnd = 6, [1, 4], 3, 2
     rng = np.random.default_rng(0)
     urls = [f"http://h{k % 5}.test/p{k}" for k in range(400)]
@@ -170,7 +183,7 @@ def test_host_combined_equals_per_shard(ray_session, tmp_path):
         mine = [u for u in known if hashes[u] % n_seen == i]
         inserts.append((i, mine, np.array([hashes[u] for u in mine], np.uint64)))
 
-    host_dir, shard_dir = str(tmp_path / "host"), str(tmp_path / "shard")
+    host_dir = str(tmp_path / "host")
     host = SeenHost.remote(own, 1 << 10, n_seen)
     ray.get([
         host.call.remote(i, "check_and_insert", us, hs) for i, us, hs in inserts
@@ -180,41 +193,34 @@ def test_host_combined_equals_per_shard(ray_session, tmp_path):
             n_fetch, host_dir, rnd, os.path.join(host_dir, "next"), *tasks
         )
     )
-    locals_ = {i: SeenShardLocal(i, 1 << 10) for i in own}
-    for i, us, hs in inserts:
-        locals_[i].check_and_insert(us, hs)
-    shard_stats = []
-    for i in own:
-        metas = [
-            pa.Table.from_batches([m.filter(m["uhash"].to_numpy() % n_seen == i)])
-            for m in tasks
-        ]
-        shard_stats.append(
-            combined_round(
-                locals_[i], n_fetch, shard_dir, rnd,
-                os.path.join(shard_dir, "next"), metas,
-            )
-        )
-
-    assert [s["sshard"] for s in host_stats] == own
     # the seen host runs the round-end phase without pandas
     assert not ray.get(host.__ray_call__.remote(lambda _: "pandas" in sys.modules))
-    assert [s["n_new"] for s in host_stats] == [s["n_new"] for s in shard_stats]
-    assert any(s["n_new"] for s in host_stats)
     rel = sorted(
         os.path.relpath(f, host_dir)
         for f in glob.glob(os.path.join(host_dir, "**", "*.parquet"), recursive=True)
     )
     assert rel == [
-        "next/from_00001.parquet", "next/from_00004.parquet",
-        "round_00002/seen_delta/shard-00001.parquet",
-        "round_00002/seen_delta/shard-00004.parquet",
+        "next/from_00001.parquet", "round_00002/seen_delta/shard-00001.parquet",
     ]
-    for r in rel:
-        with open(os.path.join(host_dir, r), "rb") as a, open(
-            os.path.join(shard_dir, r), "rb"
-        ) as b:
-            assert a.read() == b.read(), r
+    host_delta = pq.read_table(os.path.join(host_dir, rel[1]))
+    assert host_stats["shard"] == 1
+
+    frontier, n_new = [], 0
+    for i, us, hs in inserts:
+        local = SeenShardLocal(i, 1 << 10)
+        local.check_and_insert(us, hs)
+        d = str(tmp_path / f"shard{i}")
+        metas = [m.filter(m["uhash"].to_numpy() % n_seen == i) for m in tasks]
+        st = combined_round(
+            {i: local}, n_seen, n_fetch, d, rnd, os.path.join(d, "next"), metas
+        )
+        n_new += st["n_new"]
+        mine = host_delta.filter(pc.equal(host_delta["shard"], i))
+        own_rows = _rows(os.path.join(d, f"round_00002/seen_delta/shard-{i:05d}.parquet"))
+        assert own_rows and list(zip(*mine.to_pydict().values())) == own_rows, i
+        frontier += _rows(os.path.join(d, f"next/from_{i:05d}.parquet"))
+    assert host_stats["n_new"] == n_new > 0
+    assert sorted(_rows(os.path.join(host_dir, rel[0]))) == sorted(frontier)
 
 
 def test_driver_host_leaves_pandas_importable(tmp_path):

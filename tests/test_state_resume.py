@@ -259,6 +259,77 @@ def test_make_shards_packs_shards_into_cpu_hosts(ray_session):
         actor_totals.remote(shards)
 
 
+def test_rebuild_shards_reads_per_shard_and_per_host_deltas(ray_session, tmp_path):
+    """One run whose early rounds hold one delta file per seen shard and
+    whose later rounds hold one per host of a 3-host layout, restored in
+    a 4-host session: every shard's table equals a plain-dict replay of
+    the same files, row by row, in order."""
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+    import ray
+
+    from crawler_ray.pipelines.checkpoint import rebuild_shards
+    from crawler_ray.pipelines.crawl import CrawlConfig
+
+    n_seen = 6
+    urls, hs = _urls_and_hashes(90)
+    shard_of = {u: int(h) % n_seen for u, h in zip(urls, hs)}
+    rng = np.random.default_rng(3)
+    rounds = []
+    for rnd in range(4):
+        # in-progress inserts, then terminal statuses and deletes of a
+        # sample (a URL may appear twice in one round: order matters)
+        rows = [(u, IN_PROGRESS) for u in urls[rnd * 20 : rnd * 20 + 30]]
+        for k in rng.choice(len(urls), size=25):
+            rows.append((urls[k], int(rng.choice([0, COMPLETED, 3]))))
+        rounds.append(rows)
+
+    def write(path, rows):
+        pq.write_table(pa.table({
+            "url": pa.array([u for u, _ in rows], pa.string()),
+            "status": pa.array([c for _, c in rows], pa.int8()),
+            "shard": pa.array([shard_of[u] for u, _ in rows], pa.int32()),
+        }), path)
+
+    files_by_round = []
+    for rnd, rows in enumerate(rounds):
+        ddir = tmp_path / f"round_{rnd:05d}" / "seen_delta"
+        ddir.mkdir(parents=True)
+        if rnd < 2:  # one file per seen shard
+            groups = {i: [i] for i in range(n_seen)}
+        else:  # one file per host of 3, host h owning shards i = h (mod 3)
+            groups = {h: list(range(h, n_seen, 3)) for h in range(3)}
+        for lead, own in groups.items():
+            write(
+                ddir / f"shard-{lead:05d}.parquet",
+                [r for i in own for r in rows if shard_of[r[0]] == i],
+            )
+        files_by_round.append(sorted(ddir.glob("*.parquet")))
+
+    want = [dict() for _ in range(n_seen)]
+    for files in files_by_round:
+        for f in files:
+            t = pq.read_table(f)
+            for u, c in zip(t["url"].to_pylist(), t["status"].to_pylist()):
+                if c == 0:
+                    want[shard_of[u]].pop(u, None)
+                else:
+                    want[shard_of[u]][u] = c
+
+    cfg = CrawlConfig(
+        spec=None, corpus_path="", seeds=[], policy=None, run_dir=str(tmp_path),
+        n_seen_shards=n_seen, seen_capacity_per_shard=1 << 10,
+    )
+    shards = rebuild_shards(cfg, 3)
+    assert len({s.host for s in shards}) == 4  # the session's CPUs
+    got = ray.get([s.full_table.remote() for s in shards])
+    for i, t in enumerate(got):
+        assert list(zip(t["url"].to_pylist(), t["status"].to_pylist())) == list(
+            want[i].items()
+        ), i
+    assert sum(map(len, want)) > 30
+
+
 def test_resume_at_one_seen_shard_is_byte_identical(ray_session, tmp_path):
     """n_seen_shards=1: the one seen host is the driver's. A crawl killed
     in round 3 and resumed from its checkpoint ends byte-identical to an
