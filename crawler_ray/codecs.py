@@ -62,35 +62,62 @@ def decode_image(data: bytes) -> np.ndarray:
 def psnr(a: np.ndarray, b: np.ndarray) -> float:
     """Peak signal-to-noise ratio in dB; inf for identical images.
 
-    Integer arithmetic until the final division: squared diffs and their
-    sum are exact (< 2^53), so values are bit-identical to the float64
-    formulation while avoiding two full-image float copies."""
-    d = a.astype(np.int64) - b
-    mse = float(np.sum(d * d)) / d.size
+    Integer arithmetic until the final division: squared diffs fit in
+    int32 and their sum (accumulated in int64) is exact, so values are
+    bit-identical to the float64 formulation while avoiding two
+    full-image float copies."""
+    d = a.astype(np.int32) - b
+    mse = float(np.sum(d * d, dtype=np.int64)) / d.size
     if mse == 0:
         return float("inf")
     return 10.0 * np.log10(255.0**2 / mse)
 
 
+def grayscale(pixels: np.ndarray) -> np.ndarray:
+    """float64 channel mean of uint8 (..., 3) pixels.
+
+    The channel sum of three uint8 values is exact in uint16 and one IEEE
+    division rounds correctly, so the values are bit-identical to
+    ``pixels.mean(axis=-1, dtype=np.float64)`` — whose reduction over a
+    size-3 axis costs several times more."""
+    s = pixels[..., 0].astype(np.uint16) + pixels[..., 1] + pixels[..., 2]
+    return s / 3.0
+
+
+def perceptual_hashes(pixels: np.ndarray) -> list[int]:
+    """64-bit block-mean hashes (8x8 grayscale mean-threshold, signed
+    int64) of a stack of same-shape uint8 (n, h, w, 3) images. When h and
+    w are multiples of 8 (every corpus dim is) the stack is hashed in one
+    vectorized pass; values equal ``perceptual_hash`` per image."""
+    n, h, w, _ = pixels.shape
+    if h % 8 or w % 8:
+        return [perceptual_hash(px) for px in pixels]
+    g = grayscale(pixels)
+    blocks = g.reshape(n, 8, h // 8, 8, w // 8).mean(axis=(2, 4))
+    bits = blocks > blocks.mean(axis=(1, 2), keepdims=True)
+    return [_signed64(row) for row in np.packbits(bits.reshape(n, 64), axis=1)]
+
+
 def perceptual_hash(pixels: np.ndarray) -> int:
     """64-bit block-mean hash (8x8 grayscale mean-threshold), signed int64."""
-    # dtype=float64 accumulates the uint8 values exactly (integer sums
-    # < 2^53): identical values to astype(float64).mean, one copy fewer
-    g = pixels.mean(axis=2, dtype=np.float64)
-    h, w = g.shape
+    h, w = pixels.shape[:2]
     if h % 8 == 0 and w % 8 == 0:
-        # vectorized block means (all corpus dims are multiples of 8);
-        # identical values to the general path below
-        blocks = g.reshape(8, h // 8, 8, w // 8).mean(axis=(1, 3))
-    else:
-        ys = (np.arange(9) * h) // 8
-        xs = (np.arange(9) * w) // 8
-        blocks = np.empty((8, 8))
-        for i in range(8):
-            for j in range(8):
-                blocks[i, j] = g[
-                    ys[i] : max(ys[i + 1], ys[i] + 1), xs[j] : max(xs[j + 1], xs[j] + 1)
-                ].mean()
-    bits = (blocks > blocks.mean()).flatten()
-    v = int.from_bytes(np.packbits(bits).tobytes(), "big")  # same bit order
+        return perceptual_hashes(pixels[None])[0]
+    # uneven blocks: rows/cols split at floor(k * dim / 8), each block at
+    # least one pixel wide
+    g = grayscale(pixels)
+    ys = (np.arange(9) * h) // 8
+    xs = (np.arange(9) * w) // 8
+    blocks = np.empty((8, 8))
+    for i in range(8):
+        for j in range(8):
+            blocks[i, j] = g[
+                ys[i] : max(ys[i + 1], ys[i] + 1), xs[j] : max(xs[j + 1], xs[j] + 1)
+            ].mean()
+    return _signed64(np.packbits((blocks > blocks.mean()).flatten()))
+
+
+def _signed64(packed: np.ndarray) -> int:
+    """The 8 packed hash bytes, big-endian, as a signed int64 value."""
+    v = int.from_bytes(packed.tobytes(), "big")
     return v - 2**64 if v >= 2**63 else v

@@ -549,7 +549,7 @@ def crawl(
             "comb_task_max": round(max(c_secs), 3),
             "fetch_nodes": sorted({r.get("node", "") for r in stats1} - {""}),
             "fetch_phases": {
-                k: round(sum(r.get(k, 0.0) for r in stats1), 2)
+                k: round(sum(r.get(k, 0.0) for r in stats1), 4)
                 for k in (
                     "t_read", "t_proc", "t_docs", "t_meta", "t_guard",
                     "n_guard", "t_cpu",
@@ -562,7 +562,7 @@ def crawl(
                 (round(r["t0"], 3), round(r["t1"], 3)) for r in stats2
             ],
             "comb_phases": {
-                k: round(sum(r.get(k, 0.0) for r in stats2), 2)
+                k: round(sum(r.get(k, 0.0) for r in stats2), 4)
                 for k in (
                     "t_read", "t_mut", "t_cand", "t_write", "t_delta", "t_cpu",
                 )
@@ -704,7 +704,7 @@ def _commit_after_docs(
         (round(d["t0"], 3), round(d["t1"], 3)) for d in dstats
     ]
     stats["docs_phases"] = {
-        k: round(sum(d.get(k, 0.0) for d in dstats), 2)
+        k: round(sum(d.get(k, 0.0) for d in dstats), 4)
         for k in ("t_take", "t_verify", "t_render", "t_write", "t_cpu")
     }
     _commit_round(rdir, rnd, stats, next_frontier_path, cookies)

@@ -30,12 +30,12 @@ Data exchange, round-2 layout (re-planned after measuring round 1):
   (per-consumer granularity: a consumer deserializes only its own slice,
   never the whole exchange). No files: resume reruns an uncommitted
   round from its frontier files, so meta needs no durability.
-- the docs returns carry METADATA ONLY — url/chain/host/seq/hops/
-  page_id, never the content body. The body is a pure function of
-  (spec, page_id), so the docs task re-renders it instead of shipping
-  ~1 KB x stored-docs through plasma every round (round-3 change: the
-  measured 32-worker core-second inflation tracked shared plasma/disk
-  byte volume, VERDICT r2 #1).
+- the docs returns carry each stored doc's metadata (url/chain/host/
+  seq/hops/page_id) AND its fetched body as a binary ``content`` column,
+  so the docs task writes the body it is handed (~1 KB per doc through
+  the object store) instead of re-rendering it from (spec, page_id):
+  the re-render cost more sink CPU per doc than the bytes cost to ship
+  at 4 CPUs, and at one CPU the sink shares the core with fetch.
 - docs metadata is partitioned by the LANDED page's CORPUS shard (D
   returns per fetch task, doc -> corpus shard % D), not by fetch shard:
   payload attach is co-partitioned with payload storage. D follows the
@@ -285,6 +285,26 @@ def read_frontier_group(frontier_dir: str, shards) -> pa.Table | None:
     return pa.concat_tables(parts)
 
 
+def docs_table(docs: list[dict]) -> pa.Table:
+    """One docs return of a fetch task: the stored docs' metadata and
+    fetched bodies, as ``write_docs_group`` takes them."""
+    return pa.table(
+        {
+            "url": pa.array([d["url"] for d in docs], pa.string()),
+            "redirect_chain": pa.array(
+                [d["redirect_chain"] for d in docs], pa.list_(pa.string())
+            ),
+            "worker_id": pa.array([d["worker_id"] for d in docs], pa.string()),
+            "round": pa.array([d["round"] for d in docs], pa.int32()),
+            "host": pa.array([d["host"] for d in docs], pa.string()),
+            "seq": pa.array([d["seq"] for d in docs], pa.int64()),
+            "hops": pa.array([d["hops"] for d in docs], pa.int32()),
+            "page_id": pa.array([d["page_id"] for d in docs], pa.int64()),
+            "content": pa.array([d["content"] for d in docs], pa.binary()),
+        }
+    )
+
+
 def fetch_shard(
     shards_of_task: list[int],
     ctx: dict,
@@ -321,9 +341,9 @@ def fetch_shard(
 
     Returns a (1 + D + P)-tuple for Ray multi-return: a stats dict
     {shard, n_proc, n_docs, shared_cookies, timings}; one stored-docs
-    METADATA table per docs task, partitioned by the landed page's corpus
-    shard (consumed by write_docs_group, which takes payloads locally and
-    re-renders content bodies); then one META_SCHEMA record batch per
+    table (metadata + fetched body) per docs task, partitioned by the
+    landed page's corpus shard (consumed by write_docs_group, which takes
+    the image payloads locally); then one META_SCHEMA record batch per
     seen host, rows routed by ``uhash % n_seen_shards % P`` (host p
     receives exactly the (1+D+p)-th return of every fetch task). Per-consumer
     granularity matters: a consumer deserializes only its own slice,
@@ -353,31 +373,12 @@ def fetch_shard(
         # co-partition with the corpus store: the landed host's corpus shard
         return corpus_shard_of_host[spec.host_of(pid)] % n_docs_groups
 
-    def _docs_table(docs: list[dict]) -> pa.Table:
-        # metadata only — the content body is re-rendered from (spec,
-        # page_id) in write_docs_group, not shipped through the object
-        # store (round-3 scaling change, see module doc)
-        return pa.table(
-            {
-                "url": pa.array([d["url"] for d in docs], pa.string()),
-                "redirect_chain": pa.array(
-                    [d["redirect_chain"] for d in docs], pa.list_(pa.string())
-                ),
-                "worker_id": pa.array([d["worker_id"] for d in docs], pa.string()),
-                "round": pa.array([d["round"] for d in docs], pa.int32()),
-                "host": pa.array([d["host"] for d in docs], pa.string()),
-                "seq": pa.array([d["seq"] for d in docs], pa.int64()),
-                "hops": pa.array([d["hops"] for d in docs], pa.int32()),
-                "page_id": pa.array([d["page_id"] for d in docs], pa.int64()),
-            }
-        )
-
     def _returns(stats: dict, docs: list[dict], meta_rows: list[tuple]):
         by_g: dict[int, list[dict]] = {}
         for d in docs:
             by_g.setdefault(_docs_group_of(d["page_id"]), []).append(d)
         docs_tables = [
-            _docs_table(by_g.get(g, [])) for g in range(n_docs_groups)
+            docs_table(by_g.get(g, [])) for g in range(n_docs_groups)
         ]
         hs = [url_hash(row[1]) for row in meta_rows]
         by_host: dict[int, list[int]] = {}
@@ -509,6 +510,7 @@ def fetch_shard(
                     "seq": seq,
                     "hops": out.hops,
                     "page_id": out.page_id,
+                    "content": out.body.encode(),
                 }
             )
         elif out.status == "failed":
@@ -594,10 +596,11 @@ def write_docs_group(
     round_idx: int,
     *docs_tbls: pa.Table,
 ) -> dict:
-    """Re-render content bodies from (spec, page_id), attach image payload
-    columns (one bulk corpus take — the J4 index lookup, SURVEY.md §2.5)
-    and write this docs GROUP's partition file. ``docs_tbls`` are the
-    group's metadata returns from every fetch task of the round. Runs as
+    """Attach image payload columns (one bulk corpus take — the J4 index
+    lookup, SURVEY.md §2.5) to the stored docs and write this docs GROUP's
+    partition file. ``docs_tbls`` are the group's docs returns from every
+    fetch task of the round: metadata plus the fetched body (``content``),
+    written as handed over. Runs as
     its own raw task per group, dependent only on the fetch returns — so
     payload persistence overlaps the combined phase and the next round's
     fetch instead of sitting on the round barrier.
@@ -607,10 +610,10 @@ def write_docs_group(
     maps the shard files this group owns (``sources.corpus``), however
     many fetch shards the round's rows came from.
 
-    The body re-render trades ~30 us CPU per doc for ~1 KB of object-store
-    traffic per doc (the fetch stage already proved body == render_page(
-    page_id) for every stored outcome — see fetchsim.simulate_fetch): at
-    32 workers the shared plasma store was the measured scaling ceiling.
+    Shipping the body costs ~1 KB of object-store traffic per doc; the
+    re-render it replaces (``render_page(page_id, caption_of(page_id))``,
+    which is what the fetch stored) cost more sink CPU than that, and at
+    one CPU the sink runs on the fetch's core.
 
     With ``verify_payload`` the per-row invariant from BASELINE.json
     input_hint runs inline: decoded pixels vs ground truth (exact for
@@ -624,7 +627,7 @@ def write_docs_group(
     docs_tbl = (
         nonempty[0] if len(nonempty) == 1 else pa.concat_tables(nonempty)
     )
-    from ..codecs import decode_image, perceptual_hash
+    from ..codecs import decode_image, perceptual_hashes
 
     spec = ctx["spec"]
     corpus = _corpus(ctx["corpus_path"])
@@ -643,7 +646,7 @@ def write_docs_group(
         # per image (tiny-array numpy call overhead measured ~250 us/doc
         # under 32-way load, >40% of the docs stage). Values are
         # bit-identical to the per-image formulation: integer sums are
-        # exact in float64 and every corpus dim is a multiple of 8. Each
+        # exact and every corpus dim is a multiple of 8. Each
         # shape group runs in chunks of VERIFY_CHUNK_ROWS, so a task's
         # stacked-image memory stays bounded however many docs it holds;
         # every value is per image, so chunking changes none of them.
@@ -665,10 +668,10 @@ def write_docs_group(
         for (h, w, fmt), idxs in chunks:
             truths = np.stack([spec.pixels_of(page_ids[j]) for j in idxs])
             decs = np.stack([decode_image(datas[j]) for j in idxs])
-            n = len(idxs)
             if fmt == "jpeg":
-                d = truths.astype(np.int64) - decs
-                mse = (d * d).sum(axis=(1, 2, 3)) / d[0].size
+                # |d| <= 255, so d*d fits in int32; the sums are exact
+                d = truths.astype(np.int32) - decs
+                mse = (d * d).sum(axis=(1, 2, 3), dtype=np.int64) / d[0].size
                 with np.errstate(divide="ignore"):
                     pix_ok = np.where(
                         mse == 0, True,
@@ -676,17 +679,7 @@ def write_docs_group(
                     )
             else:
                 pix_ok = (truths == decs).all(axis=(1, 2, 3))
-            if h % 8 == 0 and w % 8 == 0:
-                g = truths.mean(axis=3, dtype=np.float64)
-                blocks = g.reshape(n, 8, h // 8, 8, w // 8).mean(axis=(2, 4))
-                bits = blocks > blocks.mean(axis=(1, 2), keepdims=True)
-                packed = np.packbits(bits.reshape(n, 64), axis=1)
-                ph_t = [
-                    v - 2**64 if v >= 2**63 else v
-                    for v in (int.from_bytes(row.tobytes(), "big") for row in packed)
-                ]
-            else:  # pragma: no cover - corpus dims are 8-divisible
-                ph_t = [perceptual_hash(t) for t in truths]
+            ph_t = perceptual_hashes(truths)
             for k, j in enumerate(idxs):
                 oks[j] = int(
                     bool(pix_ok[k])
@@ -695,16 +688,12 @@ def write_docs_group(
                 )
         ok_col = pa.array(oks, pa.int8())
     _t_verify = time.time()
-    bodies = pa.array(
-        [
-            spec.render_page(p, spec.caption_of(p)).encode()
-            for p in page_ids
-        ],
-        pa.binary(),
-    )
     cols = {
         **{n: docs_tbl[n] for n in docs_tbl.column_names},
-        "content": bodies,
+        # one chunk: the parquet writer checks its page and dictionary
+        # limits per write batch and each chunk starts a batch, so the
+        # file bytes depend on the chunking, not only on the values
+        "content": docs_tbl["content"].combine_chunks(),
         **{n: payload[n] for n in ("image_id", "caption", "w", "h", "fmt", "phash")},
         "image_bytes": payload["bytes"],
     }

@@ -328,10 +328,15 @@ class WebSpec:
                     px[by * bh : (by + 1) * bh, bx * bw : (bx + 1) * bw] += d
                 px = np.clip(px, 0, 255).astype(np.uint8)
             return px
-        rng = np.random.Generator(np.random.PCG64(self.seed * 1_000_003 + i))
         d = _h3(self.seed, "dim", i)
         w, h = _DIMS[d % 4], _DIMS[(d >> 8) % 4]
-        return rng.integers(0, 256, size=(h, w, 3), dtype=np.uint8)
+        # the bytes of Generator(PCG64(s)).integers(0, 256, (h, w, 3),
+        # uint8), read straight off the raw stream: numpy's full-range
+        # uint8 draw takes the bytes of each next_uint32 low-first, and
+        # PCG64 hands out each uint64's low then high half
+        n = h * w * 3
+        raw = np.random.PCG64(self.seed * 1_000_003 + i).random_raw(-(-n // 8))
+        return raw.astype("<u8", copy=False).view(np.uint8)[:n].reshape(h, w, 3)
 
     def fmt_of(self, i: int) -> str:
         return _FMTS[_h3(self.seed, "fmt", i) % 3]

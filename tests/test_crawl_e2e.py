@@ -11,13 +11,15 @@ import glob
 import os
 
 import numpy as np
+import pyarrow as pa
 import pyarrow.parquet as pq
 import pytest
 
-from crawler_ray.codecs import decode_image, psnr
+from crawler_ray.codecs import decode_image, encode_image, psnr
 from crawler_ray.fetchsim import FetchPolicy
 from crawler_ray.oracle import run_oracle
 from crawler_ray.pipelines.crawl import CrawlConfig, crawl, read_crawled, read_order
+from crawler_ray.sources.corpus import open_corpus
 from crawler_ray.state.seen import STATUS_NAMES, make_shards, seen_hosts
 from crawler_ray.urlkit import IncludePatterns
 from crawler_ray.webgen import WebSpec, ensure_web_sharded
@@ -140,6 +142,8 @@ def test_payload_invariant(ray_session, web, policy, tmp_path):
             assert np.array_equal(expect, got)
         assert row["caption"] == spec.caption_of(pid)
         assert row["phash"] is not None
+        # the body the fetch shipped is the page it stored
+        assert row["content"] == spec.render_page(pid, spec.caption_of(pid)).encode()
 
 
 def test_inline_verify_payload_column(ray_session, web, policy, tmp_path):
@@ -168,6 +172,114 @@ def test_inline_verify_payload_column(ray_session, web, policy, tmp_path):
             and perceptual_hash(expect) == row["phash"]
         )
         assert ok == bool(row["payload_ok"])
+
+
+class _TamperedCorpus:
+    """A corpus handle whose ``take_pages`` rewrites the payload row of
+    each page in ``edits`` (page id -> function of the row dict)."""
+
+    def __init__(self, store, edits):
+        self.store, self.edits = store, edits
+
+    def take_pages(self, page_ids):
+        t = self.store.take_pages(page_ids)
+        rows = t.to_pylist()
+        for row, p in zip(rows, page_ids):
+            if p in self.edits:
+                self.edits[p](row)
+        return pa.Table.from_pylist(rows, schema=t.schema)
+
+
+def _flip_pixel(row):
+    px = decode_image(row["bytes"]).copy()
+    px[0, 0, 0] ^= 0x01
+    row["bytes"] = encode_image(px, row["fmt"])
+
+
+def _jpeg_noise(row):
+    px = decode_image(row["bytes"]).astype(np.int16)
+    px += np.where(np.indices(px.shape).sum(axis=0) % 2, 24, -24).astype(np.int16)
+    row["bytes"] = encode_image(np.clip(px, 0, 255).astype(np.uint8), "jpeg")
+
+
+def _recaption(row):
+    row["caption"] += " (edited)"
+
+
+def _flip_phash_bit(row):
+    row["phash"] ^= 1
+
+
+def _write_docs(spec, corpus_path, run_dir, monkeypatch, edits, *groups):
+    """write_docs_group in-process over docs returns holding the pages of
+    each of ``groups``; the written part's payload_ok by page id, or None
+    when no part is written."""
+    from crawler_ray.stages import fetch as stages_fetch
+    from crawler_ray.urlkit import get_domain
+
+    monkeypatch.setitem(
+        stages_fetch._CORPUS_CACHE, corpus_path,
+        _TamperedCorpus(open_corpus(corpus_path), edits),
+    )
+    ctx = {"spec": spec, "corpus_path": corpus_path, "run_dir": str(run_dir),
+           "verify_payload": True}
+    tbls = [
+        stages_fetch.docs_table([
+            {
+                "url": spec.url_of(p), "redirect_chain": [spec.url_of(p)],
+                "worker_id": "shard-0", "round": 0,
+                "host": get_domain(spec.url_of(p)), "seq": k, "hops": 0,
+                "page_id": p,
+                "content": spec.render_page(p, spec.caption_of(p)).encode(),
+            }
+            for k, p in enumerate(pids)
+        ])
+        for pids in groups
+    ]
+    out = stages_fetch.write_docs_group(0, ctx, 0, *tbls)
+    path = os.path.join(str(run_dir), "round_00000", "docs", "part-00000.parquet")
+    if not os.path.exists(path):
+        assert out["n"] == 0
+        return None
+    t = pq.read_table(path)
+    assert out["n"] == t.num_rows
+    pids = [int(i[3:]) for i in t["image_id"].to_pylist()]
+    assert pids == [p for g in groups for p in g]  # written as handed over
+    for p, body in zip(pids, t["content"].to_pylist()):
+        assert body == spec.render_page(p, spec.caption_of(p)).encode()
+    return dict(zip(pids, t["payload_ok"].to_pylist()))
+
+
+def test_verify_fails_tampered_payloads(web, tmp_path, monkeypatch):
+    """The sink's verify marks payload_ok=0 on exactly the rows whose
+    payload was tampered with — a flipped lossless pixel byte, JPEG noise
+    below 40 dB, a changed caption, one flipped phash bit — and 1 on the
+    rest; 0-row and 1-row inputs included."""
+    spec, corpus_path = web
+    pids = list(range(24))
+    lossless = next(p for p in pids if spec.fmt_of(p) != "jpeg")
+    jpeg = next(p for p in pids if spec.fmt_of(p) == "jpeg")
+    rest = [p for p in pids if p not in (lossless, jpeg)]
+    edits = {
+        lossless: _flip_pixel, jpeg: _jpeg_noise,
+        rest[0]: _recaption, rest[1]: _flip_phash_bit,
+    }
+    noisy = _TamperedCorpus(open_corpus(corpus_path), edits).take_pages([jpeg])
+    assert psnr(spec.pixels_of(jpeg), decode_image(noisy["bytes"][0].as_py())) < 40.0
+
+    # two docs returns, as from two fetch tasks of a round
+    ok = _write_docs(
+        spec, corpus_path, tmp_path / "all", monkeypatch, edits,
+        pids[:10], pids[10:],
+    )
+    assert ok == {p: int(p not in edits) for p in pids}
+    assert _write_docs(
+        spec, corpus_path, tmp_path / "none", monkeypatch, edits, [], []
+    ) is None
+    for p in (rest[2], lossless, jpeg, rest[0], rest[1]):
+        assert _write_docs(
+            spec, corpus_path, tmp_path / f"one_{p}", monkeypatch, edits, [p]
+        ) == {p: int(p not in edits)}
 
 
 def test_determinism_across_shard_counts(ray_session, web, policy, tmp_path):

@@ -6,7 +6,14 @@ import collections
 import numpy as np
 import pytest
 
-from crawler_ray.codecs import decode_image, encode_image, perceptual_hash, psnr
+from crawler_ray.codecs import (
+    decode_image,
+    encode_image,
+    grayscale,
+    perceptual_hash,
+    perceptual_hashes,
+    psnr,
+)
 from crawler_ray.fetchsim import FetchPolicy, process_url, simulate_fetch
 from crawler_ray.oracle import run_oracle
 from crawler_ray.sources.corpus import open_corpus
@@ -42,6 +49,68 @@ def test_phash_stable_and_discriminative():
     a = SPEC.pixels_of(1)
     assert perceptual_hash(a) == perceptual_hash(a.copy())
     assert perceptual_hash(SPEC.pixels_of(1)) != perceptual_hash(SPEC.pixels_of(2))
+
+
+def _generator_pixels(spec, i):
+    """pixels_of as first written: one Generator.integers draw per base
+    image; duplicates copy (and optionally brighten/darken) their base."""
+    from crawler_ray.webgen import _DIMS, _h3
+
+    base = spec.dup_of(i)
+    if base is not None:
+        px = _generator_pixels(spec, base)
+        if _h3(spec.seed, "pnoise", i) % 2:
+            rng = np.random.Generator(np.random.PCG64(spec.seed * 2_000_003 + i))
+            px = px.astype(np.int16)
+            h, w = px.shape[:2]
+            bh, bw = max(1, h // 8), max(1, w // 8)
+            for _ in range(int(rng.integers(1, 4))):
+                by, bx = int(rng.integers(0, 8)), int(rng.integers(0, 8))
+                d = 8 if rng.integers(0, 2) else -8
+                px[by * bh : (by + 1) * bh, bx * bw : (bx + 1) * bw] += d
+            px = np.clip(px, 0, 255).astype(np.uint8)
+        return px
+    rng = np.random.Generator(np.random.PCG64(spec.seed * 1_000_003 + i))
+    d = _h3(spec.seed, "dim", i)
+    w, h = _DIMS[d % 4], _DIMS[(d >> 8) % 4]
+    return rng.integers(0, 256, size=(h, w, 3), dtype=np.uint8)
+
+
+def _float_mean_phash(pixels):
+    """The block-mean phash over the float64 channel mean."""
+    g = pixels.mean(axis=2, dtype=np.float64)
+    h, w = g.shape
+    blocks = g.reshape(8, h // 8, 8, w // 8).mean(axis=(1, 3))
+    v = int.from_bytes(np.packbits((blocks > blocks.mean()).flatten()).tobytes(), "big")
+    return v - 2**64 if v >= 2**63 else v
+
+
+def test_pixels_gray_phash_pinned_to_float_formulas():
+    """The raw-stream ground truth, the integer-sum grayscale and the
+    batched phash are bit-identical to the formulas they replaced, over
+    every (h, w) pair of the four corpus dims and for base, exact-copy
+    and noisy-copy pages."""
+    from crawler_ray.webgen import _DIMS, _h3
+
+    kinds, by_shape = collections.Counter(), collections.defaultdict(list)
+    for i in range(SPEC.n_pages):
+        px = SPEC.pixels_of(i)
+        assert px.dtype == np.uint8
+        assert np.array_equal(px, _generator_pixels(SPEC, i)), i
+        assert grayscale(px).tobytes() == px.mean(axis=-1, dtype=np.float64).tobytes()
+        assert perceptual_hash(px) == _float_mean_phash(px), i
+        base = SPEC.dup_of(i)
+        kinds[
+            "base" if base is None
+            else "noisy" if _h3(SPEC.seed, "pnoise", i) % 2 else "exact"
+        ] += 1
+        by_shape[px.shape].append(px)
+    assert set(kinds) == {"base", "exact", "noisy"}
+    assert set(by_shape) == {(h, w, 3) for h in _DIMS for w in _DIMS}
+    for stack in by_shape.values():
+        assert perceptual_hashes(np.stack(stack)) == [
+            _float_mean_phash(px) for px in stack
+        ]
 
 
 def test_webspec_deterministic_and_resolves():
