@@ -47,12 +47,15 @@ def encode_image(pixels: np.ndarray, fmt: str) -> bytes:
 
 def decode_image(data: bytes) -> np.ndarray:
     """Returns uint8 (h, w, 3). Raises ValueError on corrupt payload."""
-    magic, wh, rest = data[:4], data[4:12], data[12:]
-    fmt = _FMT_OF_MAGIC.get(magic)
-    if fmt is None:
-        raise ValueError("unknown image magic")
-    w, h = struct.unpack("<II", wh)
-    raw = rest if fmt == "bmp" else zlib.decompress(rest)
+    fmt = _FMT_OF_MAGIC.get(data[:4])
+    if fmt is None or len(data) < 12:
+        raise ValueError("unknown image magic or short header")
+    w, h = struct.unpack("<II", data[4:12])
+    rest = data[12:]
+    try:
+        raw = rest if fmt == "bmp" else zlib.decompress(rest)
+    except zlib.error as e:
+        raise ValueError(f"corrupt image payload: {e}") from None
     arr = np.frombuffer(raw, dtype=np.uint8)
     if arr.size != w * h * 3:
         raise ValueError("corrupt image payload")

@@ -14,7 +14,6 @@ pipelines.crawl:
         order/part-<lead>.parquet      canonical (host, seq) processing log
         logs/part-<lead>.parquet       warning/error stream
         seen_delta/shard-<h>.parquet   seen host h's delta, rows by ``shard``
-        metrics/part-<lead>.parquet    optional fetch timings
         MANIFEST.json                  commit record {round, stats, complete}
       RUN_MANIFEST.json                end-of-run summary
 

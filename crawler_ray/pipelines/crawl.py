@@ -23,15 +23,16 @@ Each round is two RAW-Ray-task fan-outs with file-partitioned exchange
         + MANIFEST
 
 Beside the barrier, D docs tasks per round (payload take + verify +
-docs parquet) each take one docs-metadata return of every fetch task.
+docs parquet) each take the docs returns of a run of consecutive fetch
+tasks; they are submitted once the fetch phase ends.
 
 A round's task counts follow its size, not the configured fan-out: with
-R frontier rows a round starts min(n_fetch_shards, 128, R // 400) fetch
-tasks and D = min(n_docs_groups, corpus shards, R // 400) docs tasks (at
-least one each; ``ROWS_PER_TASK`` = 400), and makes one combined call
-per seen host: P - 1 actor calls, submitted with the fetch tasks, and
-host 0's call in the driver once the fetch phase ends. Both counts are
-pure functions of R, so a rerun or a resume regroups identically.
+R frontier rows a round starts n = min(n_fetch_shards, 128, R // 400)
+fetch tasks (at least one; ``ROWS_PER_TASK`` = 400), D = min(32, n) docs
+tasks (``MAX_DOCS_TASKS``), and makes one combined call per seen host:
+P - 1 actor calls, submitted with the fetch tasks, and host 0's call in
+the driver once the fetch phase ends. The counts are pure functions of
+R, so a rerun or a resume regroups identically.
 
 The frontier files are the only way frontier rows reach the next round,
 and they are also the resume lineage: round 0, a resume, an injection
@@ -97,17 +98,23 @@ from ..stages.fetch import (
     write_frontier_shards,
 )
 from ..urlkit import IncludePatterns, canonicalise, get_domain, url_hash
-from ..webgen import WebSpec, shard_of_host
+from ..webgen import WebSpec
 
 # raw-task wrappers around the stage bodies; the combined stage runs as
 # one combined_round call per seen host (state/seen.py)
 _fetch_task = ray.remote(fetch_shard)
 _docs_task = ray.remote(write_docs_group)
 
-# frontier rows per fetch task and per docs task: a round starts about
-# frontier_rows / ROWS_PER_TASK of each (capped), so a 50-URL drain round
-# costs one fetch task and one docs task, not a full fan-out
+# frontier rows per fetch task: a round starts about frontier_rows /
+# ROWS_PER_TASK fetch tasks (at most MAX_FETCH_TASKS), so a 50-URL drain
+# round costs one fetch task and one docs task, not a full fan-out
 ROWS_PER_TASK = 400
+MAX_FETCH_TASKS = 128
+# docs tasks per round: min(MAX_DOCS_TASKS, fetch tasks). Fewer, larger
+# docs tasks cost less sink CPU per doc (verify on, 4-CPU box: 194 us at
+# 150 docs per task, 111 us at 1,200), so a big round's 128 fetch tasks
+# fold into 32 docs tasks rather than one each
+MAX_DOCS_TASKS = 32
 
 
 @dataclass
@@ -122,14 +129,9 @@ class CrawlConfig:
     n_fetch_shards: int = 16
     n_seen_shards: int = 8
     politeness_delay: float = 0.0
-    record_metrics: bool = False
     # run the per-row payload invariant inline in the fetch stage
     verify_payload: bool = False
     seen_capacity_per_shard: int = 1 << 17
-    # cap on docs-sink tasks per round (the round's size sets the count,
-    # see crawl()): each task owns a set of corpus shards and performs
-    # only LOCAL payload takes (stages/fetch.py)
-    n_docs_groups: int = 32
     # TEST-ONLY fault injection: called as fault_hook(round, shards) at
     # the top of every round so tests can kill a seen host actor
     # mid-crawl and exercise checkpoint.run_with_recovery. Never set in
@@ -306,7 +308,7 @@ def crawl(
     (``webgen.ensure_web_sharded``); anything else raises ValueError
     before the run directory is touched."""
     t_entry = time.time()
-    n_corpus_shards = corpus_shards(cfg.corpus_path)
+    corpus_shards(cfg.corpus_path)  # raises on anything but a sharded corpus
     os.makedirs(cfg.run_dir, exist_ok=True)
     _check_run_config(cfg)
     summary = CrawlSummary(
@@ -343,12 +345,6 @@ def crawl(
             for f in glob.glob(os.path.join(frontier_path, "*.parquet"))
         )
 
-    # docs-group routing: host -> corpus shard, hashed once per host here,
-    # not once per doc in every task
-    corpus_shard_of_host = [
-        shard_of_host(h, n_corpus_shards) for h in range(cfg.spec.n_hosts)
-    ]
-
     # crawl-constant context shared by every task of every round: put ONCE
     # (broadcast), not re-serialized per task
     def _ctx_refs(pol: FetchPolicy):
@@ -358,10 +354,8 @@ def crawl(
             corpus_path=cfg.corpus_path,
             n_seen_shards=cfg.n_seen_shards,
             n_seen_hosts=len(hosts),
-            corpus_shard_of_host=corpus_shard_of_host,
             run_dir=cfg.run_dir,
             politeness_delay=cfg.politeness_delay,
-            record_metrics=cfg.record_metrics,
             verify_payload=cfg.verify_payload,
         )
         return ray.put(base)
@@ -421,10 +415,9 @@ def crawl(
             break
 
         # --- fetch stage: one raw task per fetch shard. Each task has
-        #     1 + D + P returns: stats, one docs-
-        #     metadata table per docs task (partitioned by the landed
-        #     page's corpus shard), then one meta table per seen host
-        #     (the fetch->combined exchange) — all via object store
+        #     2 + P returns: stats, one table of its stored docs, then
+        #     one meta table per seen host (the fetch->combined
+        #     exchange) — all via object store
         csnap = tuple(sorted(summary.cookies.items()))
         # BFS-drain rounds have tiny frontiers: fold shards into fewer
         # tasks (ROWS_PER_TASK URLs each) so a 50-URL round costs a
@@ -434,24 +427,18 @@ def crawl(
         # group (stages/fetch.py read_frontier_group). Grouping is a pure
         # function of frontier_rows, so reruns and resumes regroup
         # identically.
-        # Upper cap 128: a 256-task round pays ~2.6 ms driver submission
-        # and multi-return object creation PER TASK; folding big rounds
-        # 256 -> 128 tasks halves that fixed cost while per-task work
-        # (~1-3k URLs) still swamps skew. The cap is a constant — NOT
-        # derived from the cluster size — so the job stays bit-identical
-        # across cpu levels (scaling protocol) and regroups identically
-        # on resume.
-        n_by_size = max(1, frontier_rows // ROWS_PER_TASK)
-        n_groups = min(cfg.n_fetch_shards, 128, n_by_size)
-        nf = cfg.n_fetch_shards
-        task_shards = [
-            list(range(g * nf // n_groups, (g + 1) * nf // n_groups))
-            for g in range(n_groups)
-        ]
-        # docs tasks fold the same way: D is capped by n_docs_groups and
-        # by the corpus shard count (a doc's task is its corpus shard % D,
-        # so more tasks than corpus shards stay empty)
-        D = min(cfg.n_docs_groups, n_corpus_shards, n_by_size)
+        # Upper cap MAX_FETCH_TASKS = 128: a 256-task round pays ~2.6 ms
+        # driver submission and multi-return object creation PER TASK;
+        # folding big rounds 256 -> 128 tasks halves that fixed cost
+        # while per-task work (~1-3k URLs) still swamps skew. The cap is
+        # a constant — NOT derived from the cluster size — so the job
+        # stays bit-identical across cpu levels (scaling protocol) and
+        # regroups identically on resume.
+        n_groups = min(
+            cfg.n_fetch_shards, MAX_FETCH_TASKS,
+            max(1, frontier_rows // ROWS_PER_TASK),
+        )
+        task_shards = _fold(cfg.n_fetch_shards, n_groups)
         # round-start guard snapshots: each seen actor publishes its
         # sorted url-hash array to the object store. Actor-mailbox
         # ordering puts these after the previous round's combined_round,
@@ -464,22 +451,10 @@ def crawl(
         # measured ~1 ms/task of driver-serial submission time.
         snap_pack = ray.put([s.snapshot_hashes.remote() for s in shards])
         fetch_rets = [
-            _fetch_task.options(num_returns=1 + D + len(hosts)).remote(
-                grp, ctx_ref, rnd, frontier_path, csnap, snap_pack, D,
+            _fetch_task.options(num_returns=2 + len(hosts)).remote(
+                grp, ctx_ref, rnd, frontier_path, csnap, snap_pack,
             )
             for grp in task_shards
-        ]
-        # payload persistence (corpus take + verify + docs parquet): one
-        # task per DOCS GROUP, fed its metadata return of every fetch
-        # task — payload takes stay local to the group's corpus shards;
-        # runs under the fetch straggler's tail, the combined phase, and
-        # the next round's fetch; the round commits (below) only after
-        # these are durable
-        docs_refs = [
-            _docs_task.remote(
-                g, ctx_ref, rnd, *[fr[1 + g] for fr in fetch_rets]
-            )
-            for g in range(D)
         ]
         # --- combined terminal+candidate stage: one combined_round call
         #     per seen host, fed every fetch task's meta ref for it. The
@@ -494,13 +469,25 @@ def crawl(
         def _combined(p):
             return hosts[p].combined_round.remote(
                 cfg.n_fetch_shards, cfg.run_dir, rnd, next_path,
-                *[r[1 + D + p] for r in fetch_rets],
+                *[r[2 + p] for r in fetch_rets],
             )
 
         comb_rets = [_combined(p) for p in range(1, len(hosts))]
 
         stats1 = ray.get([r[0] for r in fetch_rets])
         _t_fetch = time.time() - _t_round
+        # payload persistence (corpus take + verify + docs parquet): docs
+        # task j takes the docs returns of the j-th of D consecutive runs
+        # of fetch tasks, the fold task_shards uses. Submitted after the
+        # fetch phase, so they take no CPU from this round's fetch tasks;
+        # they run beside the combined phase and the next round's fetch,
+        # and the round commits (below) only after they are durable
+        docs_refs = [
+            _docs_task.remote(j, ctx_ref, rnd, *[fetch_rets[i][1] for i in run])
+            for j, run in enumerate(
+                _fold(n_groups, min(MAX_DOCS_TASKS, n_groups))
+            )
+        ]
         comb_rets.insert(0, _combined(0))
         n_proc = sum(r["n_proc"] for r in stats1)
         n_docs = sum(r["n_docs"] for r in stats1)
@@ -616,14 +603,19 @@ def crawl(
     return summary
 
 
+def _fold(n: int, k: int) -> list[range]:
+    """``range(n)`` cut into ``k`` consecutive runs of near-equal size."""
+    return [range(g * n // k, (g + 1) * n // k) for g in range(k)]
+
+
 def _check_run_config(cfg) -> None:
     """Pin the run's IDENTITY-DEFINING config at first crawl() entry and
     REFUSE a resume under a different one (review r5): restoring seen
     deltas written with 8 shards into a 16-shard routing silently
     re-fetches done URLs (duplicate docs, non-byte-identical run), and a
-    different web spec is a different universe entirely. Task-granularity
-    knobs (fetch shards, docs groups, limits) may legitimately change
-    across resumes and are NOT pinned."""
+    different web spec is a different universe entirely. Task granularity
+    (fetch shards, hence fetch and docs task counts) and limits may
+    legitimately change across resumes and are NOT pinned."""
     fp = {
         "n_seen_shards": cfg.n_seen_shards,
         "n_pages": cfg.spec.n_pages,

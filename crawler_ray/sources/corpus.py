@@ -39,14 +39,15 @@ class MmapShardCorpus:
     - the mapped pages live in the OS page cache, SHARED by every worker
       process on the node — unlike per-process parquet row-group caches
       (32 workers, one corpus in memory, not 32);
-    - no pinned-actor state needed: short-lived tasks on arbitrary
-      workers hit the same warm pages (a per-docs-group pinned-table
-      actor variant measured 15-20% SLOWER end-to-end on this box — 32
-      extra resident processes oversubscribe the node).
+    - no pinned-actor state and no routing by shard: a short-lived docs
+      task on any worker takes rows from any shard out of the same warm
+      pages (a pinned-table actor per group of shards measured 15-20%
+      SLOWER end-to-end on a 32-CPU box — 32 extra resident processes
+      oversubscribe the node).
 
     Conversion is lazy per shard (first toucher converts, atomic rename),
-    which also parallelises it for free — each docs-group task converts
-    only the shards it owns, instead of one process converting all 256.
+    which also parallelises it for free — the tasks that first touch a
+    shard convert it, instead of one process converting all 256.
     """
 
     def __init__(self, dir_path: str):

@@ -23,35 +23,29 @@ Data exchange, round-2 layout (re-planned after measuring round 1):
   journal-flush stalls.
 - meta (fetch -> combined, intra-round only): Arrow record batches
   through the OBJECT STORE — fetch task ``s`` multi-returns (stats,
-  docs_0 .. docs_{D-1}, meta_h0 .. meta_h{P-1}) with ``num_returns=1+D+P``,
-  D the round's docs-task count and P the number of seen HOSTS; host
-  ``p`` (owning seen shards i ≡ p mod P) receives exactly the (1+D+p)-th
-  return ref of every fetch task in one ``combined_round`` call
-  (per-consumer granularity: a consumer deserializes only its own slice,
-  never the whole exchange). No files: resume reruns an uncommitted
-  round from its frontier files, so meta needs no durability.
-- the docs returns carry each stored doc's metadata (url/chain/host/
+  docs, meta_h0 .. meta_h{P-1}) with ``num_returns=2+P``, P the number
+  of seen HOSTS; host ``p`` (owning seen shards i ≡ p mod P) receives
+  exactly the (2+p)-th return ref of every fetch task in one
+  ``combined_round`` call (per-consumer granularity: a consumer
+  deserializes only its own slice, never the whole exchange). No files:
+  resume reruns an uncommitted round from its frontier files, so meta
+  needs no durability.
+- the docs return carries each stored doc's metadata (url/chain/host/
   seq/hops/page_id) AND its fetched body as a binary ``content`` column,
   so the docs task writes the body it is handed (~1 KB per doc through
   the object store) instead of re-rendering it from (spec, page_id):
   the re-render cost more sink CPU per doc than the bytes cost to ship
   at 4 CPUs, and at one CPU the sink shares the core with fetch.
-- docs metadata is partitioned by the LANDED page's CORPUS shard (D
-  returns per fetch task, doc -> corpus shard % D), not by fetch shard:
-  payload attach is co-partitioned with payload storage. D follows the
-  round's size — min(n_docs_groups, corpus shards, frontier rows / 400)
-  (pipelines/crawl.py ROWS_PER_TASK) — so a drain round starts one docs
-  task, not n_docs_groups. Round-3 change: with docs tasks
-  keyed by fetch shard, the ~25% of stored docs that land cross-host
-  (redirect/meta/form/direction chains) each paid a full row-group read
-  in a foreign corpus partition — 0.5-1.1 ms/row and ~170 GB of read
-  amplification per sf0.1 crawl, the single largest shared-memory-bus
-  load behind the 32-worker core-second inflation. Grouped by corpus
-  shard, those rows are takes from the shard files the owning group
-  maps anyway (sources/corpus.py).
-- docs / order / logs / metrics: one partition file per task per round;
-  seen deltas: one file per seen HOST per round, beside its frontier
-  file (checkpoint lineage + the payload sink; see ``combined_round``).
+- docs tasks fold over fetch tasks: docs task ``j`` of D takes the docs
+  returns of a consecutive run of the round's fetch tasks, the same
+  fold that groups fetch shards into tasks, and D follows the round's
+  size (pipelines/crawl.py ``MAX_DOCS_TASKS``). A docs task's pages may
+  lie in any corpus shard: a take from the mmap'd Arrow IPC corpus is a
+  binary search over the shared page cache wherever the row lives
+  (sources/corpus.py), so the payload store's layout does not route docs.
+- docs / order / logs: one partition file per task per round; seen
+  deltas: one file per seen HOST per round, beside its frontier file
+  (checkpoint lineage + the payload sink; see ``combined_round``).
 
 The per-round fan-outs are plain ``@ray.remote`` tasks (one per shard)
 instead of Ray Data executions — the streaming-executor startup (~seconds
@@ -86,6 +80,7 @@ import ray
 
 from ..fetchsim import process_url
 from ..sources.corpus import open_corpus
+from ..state.seen import IN_PROGRESS
 from ..urlkit import get_domain, url_hash
 
 FRONTIER_SCHEMA = pa.schema(
@@ -99,12 +94,12 @@ FRONTIER_SCHEMA = pa.schema(
 )
 
 # metadata rows exchanged fetch -> combined stage (one batch per seen host):
-# kind 'mut' rows carry a terminal mutation (op: 0=delete, 2=completed,
-# 3=failed) keyed by the outcome's canonical (p_host, p_seq, link_idx=op
-# index); kind 'link' rows are candidate URLs keyed by discovery key.
+# ``op`` 0=delete, 2=completed, 3=failed rows are terminal mutations keyed
+# by the outcome's canonical (p_host, p_seq, link_idx=op index); op
+# IN_PROGRESS (1, the status insertIfNotDone writes) rows are candidate
+# URLs keyed by discovery key.
 META_SCHEMA = pa.schema(
     [
-        ("kind", pa.string()),  # mut | link
         ("url", pa.string()),
         ("host", pa.string()),
         ("p_host", pa.string()),
@@ -306,16 +301,15 @@ def docs_table(docs: list[dict]) -> pa.Table:
 
 
 def fetch_shard(
-    shards_of_task: list[int],
+    shards_of_task: range,
     ctx: dict,
     round_idx: int,
     frontier_dir: str,
     cookies: tuple,
     snap_refs,
-    n_docs_groups: int,
 ) -> dict:
     """Process one GROUP of fetch shards' frontier rows (raw Ray task
-    body). ``shards_of_task`` is a list of consecutive shard ids (often
+    body). ``shards_of_task`` is a run of consecutive shard ids (often
     one): when a BFS-drain round's frontier is tiny, the driver folds
     many shards into few tasks so per-round latency is task dispatch for
     a handful of tasks, not n_fetch_shards.
@@ -330,8 +324,6 @@ def fetch_shard(
     ray.put ObjectRef wrapping the list of per-seen-shard round-start
     guard-snapshot refs (sorted url-hash arrays; see ``is_done`` below),
     resolved only if the task's meta-refresh guards actually query it.
-    ``n_docs_groups`` is the round's docs-task count D (``crawl()`` sizes
-    it from the frontier; ``CrawlConfig.n_docs_groups`` is its cap).
 
     The task's frontier rows are read from the ``frontier_dir`` lineage
     files the previous round's combined calls (or seeding, injection or a
@@ -339,13 +331,13 @@ def fetch_shard(
     the row groups that cover the task's shards are read
     (``read_frontier_group``).
 
-    Returns a (1 + D + P)-tuple for Ray multi-return: a stats dict
-    {shard, n_proc, n_docs, shared_cookies, timings}; one stored-docs
-    table (metadata + fetched body) per docs task, partitioned by the
-    landed page's corpus shard (consumed by write_docs_group, which takes
-    the image payloads locally); then one META_SCHEMA record batch per
-    seen host, rows routed by ``uhash % n_seen_shards % P`` (host p
-    receives exactly the (1+D+p)-th return of every fetch task). Per-consumer
+    Returns a (2 + P)-tuple for Ray multi-return: a stats dict
+    {shard, n_proc, n_docs, shared_cookies, phase timings}; one table of
+    all the task's stored docs (metadata + fetched body, consumed by the
+    ``write_docs_group`` call whose run of fetch tasks holds this one);
+    then one META_SCHEMA record batch per seen host, rows routed by
+    ``uhash % n_seen_shards % P`` (host p receives exactly the (2+p)-th
+    return of every fetch task). Per-consumer
     granularity matters: a consumer deserializes only its own slice,
     never the whole exchange. The exchanges travel through the OBJECT
     STORE — intra-round intermediate state, not checkpoint lineage
@@ -362,25 +354,13 @@ def fetch_shard(
     rdir = os.path.join(run_dir, f"round_{round_idx:05d}")
     order_dir = os.path.join(rdir, "order")
     logs_dir = os.path.join(rdir, "logs")
-    metrics_dir = os.path.join(rdir, "metrics")
     for d in (order_dir, logs_dir):
         os.makedirs(d, exist_ok=True)
 
     n_seen_hosts = ctx["n_seen_hosts"]
-    corpus_shard_of_host = ctx["corpus_shard_of_host"]
-
-    def _docs_group_of(pid: int) -> int:
-        # co-partition with the corpus store: the landed host's corpus shard
-        return corpus_shard_of_host[spec.host_of(pid)] % n_docs_groups
 
     def _returns(stats: dict, docs: list[dict], meta_rows: list[tuple]):
-        by_g: dict[int, list[dict]] = {}
-        for d in docs:
-            by_g.setdefault(_docs_group_of(d["page_id"]), []).append(d)
-        docs_tables = [
-            docs_table(by_g.get(g, [])) for g in range(n_docs_groups)
-        ]
-        hs = [url_hash(row[1]) for row in meta_rows]
+        hs = [url_hash(row[0]) for row in meta_rows]
         by_host: dict[int, list[int]] = {}
         for j, h in enumerate(hs):
             by_host.setdefault(h % n_seen_shards % n_seen_hosts, []).append(j)
@@ -397,7 +377,7 @@ def fetch_shard(
                     schema=META_SCHEMA,
                 )
             )
-        return (stats, *docs_tables, *batches)
+        return (stats, docs_table(docs), *batches)
 
     # meta-refresh trap-guard reads (checkNotDone, Crawl.hs:138): answered
     # from the round-start seen SNAPSHOT — per-shard sorted url-hash
@@ -464,7 +444,6 @@ def fetch_shard(
     order_rows: list[tuple] = []
     log_rows: list[tuple] = []
     shared_cookies: list[tuple] = []  # (host, seq, name, value)
-    timings: list[tuple] = []
     last_fetch_at: dict[str, float] = {}
     seq_counter: dict[str, int] = {}
 
@@ -476,27 +455,23 @@ def fetch_shard(
             since = time.time() - last_fetch_at.get(host, 0.0)
             if since < politeness_delay:
                 time.sleep(politeness_delay - since)
-        t0 = time.time()
         out = process_url(spec, policy, url, is_done, cookies=cookies)
-        t1 = time.time()
-        last_fetch_at[host] = t1
-        if ctx["record_metrics"]:
-            timings.append((host, url, t0, t1))
+        last_fetch_at[host] = time.time()
 
         order_rows.append((url, host, seq, f"{out.status}:{out.reason}"))
         if out.status == "stored":
             # canonical mutation stream (oracle.py lines 99-106): pop the
             # frontier URL unconditionally, then complete the chain
-            meta_rows.append(("mut", url, "", host, seq, 0, 0))
+            meta_rows.append((url, "", host, seq, 0, 0))
             for j, u in enumerate(out.completed):
-                meta_rows.append(("mut", u, "", host, seq, j + 1, 2))
+                meta_rows.append((u, "", host, seq, j + 1, 2))
             for n, v in out.shared_cookies:
                 shared_cookies.append((host, seq, n, v))
             for idx, link in enumerate(out.links):
                 if not policy.include.accepts(link):
                     continue  # processNextUrl include gate (Crawl.hs:189)
                 meta_rows.append(
-                    ("link", link, get_domain(link) or "", host, seq, idx, 0)
+                    (link, get_domain(link) or "", host, seq, idx, IN_PROGRESS)
                 )
             for k, u, d in out.logs:
                 log_rows.append((u, f"{k}: {d}"))
@@ -514,7 +489,7 @@ def fetch_shard(
                 }
             )
         elif out.status == "failed":
-            meta_rows.append(("mut", url, "", host, seq, 0, 3))
+            meta_rows.append((url, "", host, seq, 0, 3))
             log_rows.append((url, f"error: {out.reason}"))
         # 'excluded' / 'meta_trap': stays in_progress; nothing emitted
 
@@ -540,25 +515,10 @@ def fetch_shard(
                 }
             ),
         )
-    if ctx["record_metrics"] and timings:
-        os.makedirs(metrics_dir, exist_ok=True)
-        _atomic_write(
-            os.path.join(metrics_dir, f"part-{shard:05d}.parquet"),
-            pa.table(
-                {
-                    "host": pa.array([x[0] for x in timings], pa.string()),
-                    "url": pa.array([x[1] for x in timings], pa.string()),
-                    "t_start": pa.array([x[2] for x in timings], pa.float64()),
-                    "t_end": pa.array([x[3] for x in timings], pa.float64()),
-                    "shard": pa.array([shard] * len(timings), pa.int32()),
-                }
-            ),
-        )
-
-    # t_docs = the order/logs/metrics LINEAGE parquet writes above (the
+    # t_docs = the order/logs LINEAGE parquet writes above (the
     # docs payload itself is written by the overlapped write_docs_group
     # task and reported as docs_phases); t_meta = building the docs +
-    # per-seen-shard meta Arrow returns in _returns. Previously t_meta
+    # per-seen-host meta Arrow returns in _returns. Previously t_meta
     # was hardcoded 0 and the _returns construction was attributed to no
     # phase (review r5) — anyone reading fetch_phases optimized the
     # wrong stage.
@@ -598,17 +558,16 @@ def write_docs_group(
 ) -> dict:
     """Attach image payload columns (one bulk corpus take — the J4 index
     lookup, SURVEY.md §2.5) to the stored docs and write this docs GROUP's
-    partition file. ``docs_tbls`` are the group's docs returns from every
-    fetch task of the round: metadata plus the fetched body (``content``),
-    written as handed over. Runs as
-    its own raw task per group, dependent only on the fetch returns — so
-    payload persistence overlaps the combined phase and the next round's
-    fetch instead of sitting on the round barrier.
+    partition file. ``docs_tbls`` are the docs returns of the group's run
+    of consecutive fetch tasks: metadata plus the fetched body
+    (``content``), written as handed over, in fetch-task order. Runs as
+    its own raw task per group, submitted once the round's fetch phase
+    has ended, so payload persistence overlaps the combined phase and the
+    next round's fetch instead of sitting on the round barrier.
 
-    The group is a set of corpus shards (fetch tasks route each doc by
-    its landed page's corpus shard), so the payload take below only ever
-    maps the shard files this group owns (``sources.corpus``), however
-    many fetch shards the round's rows came from.
+    The take reads whichever corpus shards the group's pages landed in
+    (``sources.corpus``: a binary search per shard over the mmap'd,
+    shared page cache).
 
     Shipping the body costs ~1 KB of object-store traffic per doc; the
     re-render it replaces (``render_page(page_id, caption_of(page_id))``,
@@ -618,6 +577,8 @@ def write_docs_group(
     With ``verify_payload`` the per-row invariant from BASELINE.json
     input_hint runs inline: decoded pixels vs ground truth (exact for
     lossless, PSNR >= 40 dB for lossy), caption equality, phash equality.
+    A payload that fails to decode, or decodes to another size than its
+    row's ``(h, w)``, gets ``payload_ok = 0`` and fails no other row.
     """
     _t0 = time.time()
     _cpu0 = time.process_time()
@@ -665,9 +626,24 @@ def write_docs_group(
             for shape, idxs in by_shape.items()
             for lo in range(0, len(idxs), VERIFY_CHUNK_ROWS)
         ]
+
+        def _decoded(j: int, shape: tuple) -> np.ndarray | None:
+            try:
+                px = decode_image(datas[j])
+            except ValueError:
+                return None
+            return px if px.shape == shape else None
+
         for (h, w, fmt), idxs in chunks:
+            # a row whose payload is unreadable keeps payload_ok = 0 and
+            # stays out of its shape group's stack
+            good = [(j, _decoded(j, (h, w, 3))) for j in idxs]
+            good = [(j, px) for j, px in good if px is not None]
+            if not good:
+                continue
+            idxs = [j for j, _ in good]
+            decs = np.stack([px for _, px in good])
             truths = np.stack([spec.pixels_of(page_ids[j]) for j in idxs])
-            decs = np.stack([decode_image(datas[j]) for j in idxs])
             if fmt == "jpeg":
                 # |d| <= 255, so d*d fits in int32; the sums are exact
                 d = truths.astype(np.int32) - decs
@@ -765,7 +741,8 @@ def combined_round(
 
     if nonempty:
         t = pa.Table.from_batches(nonempty).combine_chunks()
-        is_mut = pc.equal(t["kind"], "mut").to_numpy(zero_copy_only=False)
+        ops = t["op"].to_numpy()
+        is_mut = ops != IN_PROGRESS
         # vectorized canonical (p_host, p_seq, link_idx) order: np.unique
         # codes follow p_host's lex order, then one lexsort — only the
         # PER-URL relative order is semantic (mutations of distinct URLs
@@ -782,7 +759,6 @@ def combined_round(
         lap("t_read")
 
         mut_order = order[is_mut[order]]
-        ops = t["op"].to_numpy()
         for i, state in sorted(shards.items()):
             rows = mut_order[sid[mut_order] == i]
             # terminal mutations durable before candidate inserts

@@ -74,8 +74,8 @@ def host_name(h: int) -> str:
 
 def shard_of_host(h: int, n_shards: int) -> int:
     """Corpus shard for host index ``h`` — ``url_hash(host) % n_shards``,
-    shared by the corpus writer, both corpus readers, and the driver's
-    docs-group routing."""
+    shared by the corpus writer and its reader (``sources.corpus``); the
+    crawl itself never routes by it."""
     from .urlkit import url_hash
 
     return url_hash(host_name(h)) % n_shards

@@ -3,7 +3,8 @@
 Parity gates (SURVEY.md §5): final seen-set equality, canonical
 (round, host, seq) crawl-order equality, stored-doc set equality, per-row
 payload invariant (decoded pixels + caption vs corpus), politeness
-(no overlapping fetches per host), quota, determinism across shard counts.
+(each host's fetches in one task per round), quota, determinism across
+shard counts.
 """
 
 import collections
@@ -15,6 +16,7 @@ import pyarrow as pa
 import pyarrow.parquet as pq
 import pytest
 
+import crawler_ray.pipelines.crawl as crawl_mod
 from crawler_ray.codecs import decode_image, encode_image, psnr
 from crawler_ray.fetchsim import FetchPolicy
 from crawler_ray.oracle import run_oracle
@@ -210,6 +212,14 @@ def _flip_phash_bit(row):
     row["phash"] ^= 1
 
 
+def _truncate(row):
+    row["bytes"] = row["bytes"][:20]
+
+
+def _half_size(row):
+    row["bytes"] = encode_image(decode_image(row["bytes"])[::2, ::2].copy(), row["fmt"])
+
+
 def _write_docs(spec, corpus_path, run_dir, monkeypatch, edits, *groups):
     """write_docs_group in-process over docs returns holding the pages of
     each of ``groups``; the written part's payload_ok by page id, or None
@@ -253,17 +263,27 @@ def _write_docs(spec, corpus_path, run_dir, monkeypatch, edits, *groups):
 def test_verify_fails_tampered_payloads(web, tmp_path, monkeypatch):
     """The sink's verify marks payload_ok=0 on exactly the rows whose
     payload was tampered with — a flipped lossless pixel byte, JPEG noise
-    below 40 dB, a changed caption, one flipped phash bit — and 1 on the
-    rest; 0-row and 1-row inputs included."""
+    below 40 dB, a changed caption, one flipped phash bit, a png and a
+    jpeg payload cut to 20 bytes, a payload encoded at half its row's
+    size — and 1 on the rest; 0-row and 1-row inputs included. An
+    unreadable payload fails its own row, not the docs task."""
     spec, corpus_path = web
     pids = list(range(24))
-    lossless = next(p for p in pids if spec.fmt_of(p) != "jpeg")
-    jpeg = next(p for p in pids if spec.fmt_of(p) == "jpeg")
-    rest = [p for p in pids if p not in (lossless, jpeg)]
+    pngs = [p for p in pids if spec.fmt_of(p) == "png"]
+    jpegs = [p for p in pids if spec.fmt_of(p) == "jpeg"]
+    lossless, jpeg = pngs[0], jpegs[0]
+    cut_png, cut_jpeg, resized = pngs[1], jpegs[1], pngs[2]
+    tampered = (lossless, jpeg, cut_png, cut_jpeg, resized)
+    rest = [p for p in pids if p not in tampered]
     edits = {
         lossless: _flip_pixel, jpeg: _jpeg_noise,
         rest[0]: _recaption, rest[1]: _flip_phash_bit,
+        cut_png: _truncate, cut_jpeg: _truncate, resized: _half_size,
     }
+    cut = _TamperedCorpus(open_corpus(corpus_path), edits).take_pages([cut_png, cut_jpeg])
+    for data in cut["bytes"].to_pylist():
+        with pytest.raises(ValueError):
+            decode_image(data)
     noisy = _TamperedCorpus(open_corpus(corpus_path), edits).take_pages([jpeg])
     assert psnr(spec.pixels_of(jpeg), decode_image(noisy["bytes"][0].as_py())) < 40.0
 
@@ -276,7 +296,7 @@ def test_verify_fails_tampered_payloads(web, tmp_path, monkeypatch):
     assert _write_docs(
         spec, corpus_path, tmp_path / "none", monkeypatch, edits, [], []
     ) is None
-    for p in (rest[2], lossless, jpeg, rest[0], rest[1]):
+    for p in (rest[2], *tampered, rest[0], rest[1]):
         assert _write_docs(
             spec, corpus_path, tmp_path / f"one_{p}", monkeypatch, edits, [p]
         ) == {p: int(p not in edits)}
@@ -314,29 +334,34 @@ def test_quota_matches_oracle(ray_session, web, policy, tmp_path):
     assert set(docs["url"]) == {d["url"] for d in golden.crawled}
 
 
-def test_politeness_no_host_overlap(ray_session, web, policy, tmp_path):
-    """No two fetches of the same host may overlap in time (the reference's
-    one-in-flight-per-host invariant, PoliteQueue.hs:34-64)."""
+def test_politeness_no_host_overlap(ray_session, web, policy, tmp_path, monkeypatch):
+    """At most one in-flight fetch per host (the reference's one-thread-
+    per-domain invariant, PoliteQueue.hs:34-64), checked structurally:
+    with rounds cut into several fetch tasks, every host's order rows of
+    a round lie in exactly one task's order part, with seqs 0..n-1. A
+    task fetches its rows one at a time and a round is a barrier, so no
+    two fetches of a host overlap in time."""
+    monkeypatch.setattr(crawl_mod, "ROWS_PER_TASK", 4)
     spec, _ = web
     seeds = [spec.url_of(i) for i in range(4)]
-    _run_engine(
-        web, policy, tmp_path / "run", seeds,
-        record_metrics=True, politeness_delay=0.0,
-    )
-    files = glob.glob(str(tmp_path / "run" / "round_*" / "metrics" / "*.parquet"))
-    assert files
-    import pyarrow as pa
-
-    t = pa.concat_tables([pq.read_table(f) for f in files]).to_pandas()
-    overlaps = 0
-    for host, g in t.groupby("host"):
-        g = g.sort_values("t_start")
-        prev_end = -1.0
-        for _, r in g.iterrows():
-            if r["t_start"] < prev_end - 1e-9:
-                overlaps += 1
-            prev_end = max(prev_end, r["t_end"])
-    assert overlaps == 0
+    _run_engine(web, policy, tmp_path / "run", seeds)
+    rdirs = sorted(glob.glob(str(tmp_path / "run" / "round_*")))
+    assert rdirs
+    n_multi_task = 0
+    for rdir in rdirs:
+        parts = sorted(glob.glob(os.path.join(rdir, "order", "*.parquet")))
+        n_multi_task += len(parts) > 1
+        seqs_of: dict[str, list] = {}
+        part_of: dict[str, set] = {}
+        for f in parts:
+            t = pq.read_table(f, columns=["host", "seq"])
+            for h, q in zip(t["host"].to_pylist(), t["seq"].to_pylist()):
+                seqs_of.setdefault(h, []).append(q)
+                part_of.setdefault(h, set()).add(f)
+        for h, seqs in seqs_of.items():
+            assert len(part_of[h]) == 1, (rdir, h)
+            assert sorted(seqs) == list(range(len(seqs))), (rdir, h)
+    assert n_multi_task >= 2  # the check saw rounds of several tasks
 
 
 def test_checkpoint_artifacts_exist(ray_session, web, policy, tmp_path):

@@ -1,10 +1,11 @@
 """Task-shape contracts: a crawl's outputs do not depend on how a round is
 cut into tasks.
 
-- A pairwise grid of fetch-shard, seen-shard, docs-group and corpus-shard
-  counts, with the rows-per-task constant turned down so fetch and docs
-  tasks both fold, must reproduce the single-threaded oracle: read order,
-  the seen set replayed from ``seen_delta``, and the stored-doc keys.
+- A grid of fetch-shard, seen-shard and corpus-shard counts, with the
+  rows-per-task constant turned down so fetch and docs tasks both fold,
+  must reproduce the single-threaded oracle: read order, the seen set
+  replayed from ``seen_delta``, and the stored-doc keys. Each fetch
+  task's docs land in one docs part.
 - ``SeenHost.combined_round`` (one call for all of a host's shards) must
   write one frontier and one delta file holding, per shard, the rows a
   one-shard call on that shard's own metas writes.
@@ -31,6 +32,7 @@ from crawler_ray.oracle import run_oracle
 from crawler_ray.pipelines.crawl import CrawlConfig, crawl, read_crawled, read_order
 from crawler_ray.stages.fetch import META_SCHEMA, combined_round
 from crawler_ray.state.seen import (
+    IN_PROGRESS,
     STATUS_NAMES,
     SeenHost,
     SeenShardLocal,
@@ -44,14 +46,12 @@ N_PAGES, N_HOSTS = 300, 12
 
 FETCH = (1, 3, 16)
 SEEN = (1, 3, 6, 8)
-DOCS = (1, 4, 32)
-# corpus shards: 4 caps the docs-task count below n_docs_groups, 40 does
-# not (more shards than the web's 12 hosts, so some stay empty)
+# corpus shards: fewer than the web's 12 hosts, and more (some stay empty)
 CORPUS = (4, 40)
-# every (seen, fetch) pair, docs = (i_seen + i_fetch) % 3: each pair of
-# the three axes occurs at least once in 12 crawls
+# every (seen, fetch) pair; each corpus count meets every fetch and seen
+# count at least once in 12 crawls
 GRID = [
-    (FETCH[i_f], SEEN[i_s], DOCS[(i_s + i_f) % 3], CORPUS[(i_s + i_f) % 2])
+    (FETCH[i_f], SEEN[i_s], CORPUS[(i_s + i_f) % 2])
     for i_s in range(len(SEEN))
     for i_f in range(len(FETCH))
 ]
@@ -94,8 +94,8 @@ def test_shard_shapes_match_oracle(ray_session, webs, policy, tmp_path, monkeypa
     want_docs = sorted(
         (d["url"], d["round"], d["host"], d["seq"]) for d in golden.crawled
     )
-    for n_fetch, n_seen, n_docs, n_corpus in GRID:
-        shape = (n_fetch, n_seen, n_docs, n_corpus)
+    for n_fetch, n_seen, n_corpus in GRID:
+        shape = (n_fetch, n_seen, n_corpus)
         spec, corpus = webs[n_corpus]
         run_dir = str(tmp_path / "-".join(map(str, shape)))
         shards = make_shards(n_seen, 1 << 10)
@@ -103,7 +103,7 @@ def test_shard_shapes_match_oracle(ray_session, webs, policy, tmp_path, monkeypa
             CrawlConfig(
                 spec=spec, corpus_path=corpus, seeds=seeds, policy=policy,
                 run_dir=run_dir, n_fetch_shards=n_fetch, n_seen_shards=n_seen,
-                n_docs_groups=n_docs, seen_capacity_per_shard=1 << 10,
+                seen_capacity_per_shard=1 << 10,
             ),
             shards=shards,
         )
@@ -127,13 +127,21 @@ def test_shard_shapes_match_oracle(ray_session, webs, policy, tmp_path, monkeypa
             zip(*(docs[c].to_pylist() for c in ("url", "round", "host", "seq")))
         )
         assert got_docs == want_docs, shape
-        # a round never starts more docs tasks than docs groups or
-        # corpus shards; a round writes one seen delta file per seen host
-        # and at most one frontier file per seen host
+        # docs tasks fold over fetch tasks: a round has at most
+        # min(MAX_DOCS_TASKS, fetch tasks) docs parts, and each fetch
+        # task's docs (worker_id names its lead shard) lie in exactly one
+        # part; a round writes one seen delta file per seen host and at
+        # most one frontier file per seen host
         n_hosts = len(seen_hosts(shards))
         for rdir in glob.glob(os.path.join(run_dir, "round_*")):
-            n_parts = len(os.listdir(os.path.join(rdir, "docs")))
-            assert n_parts <= min(n_docs, n_corpus), shape
+            n_order = len(os.listdir(os.path.join(rdir, "order")))
+            parts = glob.glob(os.path.join(rdir, "docs", "*.parquet"))
+            assert len(parts) <= min(crawl_mod.MAX_DOCS_TASKS, n_order), shape
+            part_of: dict[str, set] = {}
+            for f in parts:
+                for w in pq.read_table(f, columns=["worker_id"])["worker_id"].to_pylist():
+                    part_of.setdefault(w, set()).add(f)
+            assert all(len(v) == 1 for v in part_of.values()), shape
             assert len(os.listdir(os.path.join(rdir, "seen_delta"))) == n_hosts, shape
         for fdir in glob.glob(os.path.join(run_dir, "frontier_*")):
             assert len(os.listdir(fdir)) <= n_hosts, shape
@@ -169,14 +177,14 @@ def test_host_combined_equals_per_shard(ray_session, tmp_path):
         rows = []
         for seq, u in enumerate(known[t::3]):
             p_host = f"h{t}.test"
-            rows.append(("mut", u, "", p_host, seq, 0, 0))
-            rows.append(("mut", u, "", p_host, seq, 1, int(rng.choice([2, 3]))))
+            rows.append((u, "", p_host, seq, 0, 0))
+            rows.append((u, "", p_host, seq, 1, int(rng.choice([2, 3]))))
         for idx, k in enumerate(rng.choice(len(urls), size=60)):
             u = urls[k]
             rows.append(
-                ("link", u, u.split("/")[2], f"h{t}.test", idx // 7, idx, 0)
+                (u, u.split("/")[2], f"h{t}.test", idx // 7, idx, IN_PROGRESS)
             )
-        tasks.append(_meta_batch([r + (hashes[r[1]],) for r in rows]))
+        tasks.append(_meta_batch([r + (hashes[r[0]],) for r in rows]))
 
     inserts = []
     for i in own:
