@@ -47,23 +47,44 @@ def _emb(sf_dir: str):
 
 
 def _query_matrix(sf_dir: str) -> tuple[np.ndarray, np.ndarray]:
+    """(unit-norm query embeddings, their vec_ids) for vec_id < N_QUERIES,
+    by vec_id; typed (0, 0) and (0,) arrays when no row qualifies."""
     import pyarrow.compute as pc
 
     q = (
         _emb(sf_dir)
         .map_batches(lambda t: t.filter(pc.less(t["vec_id"], N_QUERIES)), batch_format="pyarrow")
         .to_pandas()
-        .sort_values("vec_id")
     )
+    if not len(q):
+        return np.zeros((0, 0), np.float64), np.zeros(0, np.int64)
+    q = q.sort_values("vec_id")
     m = np.stack(q["embedding"].to_numpy()).astype(np.float64)
     m /= np.linalg.norm(m, axis=1, keepdims=True)
     return m, q["vec_id"].to_numpy()
+
+
+def _topk_frame(partials: pd.DataFrame | None = None, dedup: bool = False) -> pd.DataFrame:
+    """Each query's top TOP_K of scored (query_id, cos, neighbor_id)
+    partials, by cos desc then neighbor_id asc, as int64 (query_id, rank,
+    neighbor_id) columns; ``dedup`` keeps one row per (query, neighbor).
+    No partials give the same typed frame with 0 rows."""
+    out = []
+    for q, g in partials.groupby("query_id") if partials is not None else ():
+        if dedup:
+            g = g.drop_duplicates("neighbor_id")
+        g = g.sort_values(["cos", "neighbor_id"], ascending=[False, True]).head(TOP_K)
+        for rank, (_, r) in enumerate(g.iterrows(), start=1):
+            out.append((int(q), rank, int(r["neighbor_id"])))
+    return pd.DataFrame(out, columns=["query_id", "rank", "neighbor_id"]).astype("int64")
 
 
 def ann_topk(sf_dir: str):
     """Exact cosine top-10 neighbors for queries vec_id < 8 (self excluded).
     Output (query_id, rank, neighbor_id) — ints only for exact compare."""
     qm, qids = _query_matrix(sf_dir)
+    if not len(qids):
+        return _topk_frame()
     ref = ray.put((qm, qids))
 
     def partial_topk(df: pd.DataFrame) -> pd.DataFrame:
@@ -86,13 +107,7 @@ def ann_topk(sf_dir: str):
 
     partials = _emb(sf_dir).map_batches(partial_topk, batch_format="pandas", batch_size=4096)
     # final merge: tiny (n_queries * (k+1) per batch)
-    df = partials.to_pandas()
-    out = []
-    for q, g in df.groupby("query_id"):
-        g = g.sort_values(["cos", "neighbor_id"], ascending=[False, True]).head(TOP_K)
-        for rank, (_, r) in enumerate(g.iterrows(), start=1):
-            out.append((int(q), rank, int(r["neighbor_id"])))
-    return pd.DataFrame(out, columns=["query_id", "rank", "neighbor_id"]).astype("int64")
+    return _topk_frame(partials.to_pandas())
 
 
 ANN_TOPK_SQL = f"""
@@ -218,6 +233,8 @@ def ann_lsh(sf_dir: str):
     by design -> rows-only driver oracle; recall >= RECALL_FLOOR vs the
     exact ann_topk baseline is asserted in tests."""
     qm, qids = _query_matrix(sf_dir)
+    if not len(qids):
+        return _topk_frame()
     stage = LshIndexStage(dim=qm.shape[1])
     idx_dir, total_rows = _ensure_lsh_index(sf_dir)
 
@@ -266,14 +283,8 @@ def ann_lsh(sf_dir: str):
         f"({frac:.1%} of the {N_TABLES}-table index)"
     )
     partials = probed.map_batches(score, batch_format="pandas", batch_size=8192)
-    df = partials.to_pandas()
-    out = []
-    for q, g in df.groupby("query_id"):
-        g = g.drop_duplicates("neighbor_id")  # same pair via several tables
-        g = g.sort_values(["cos", "neighbor_id"], ascending=[False, True]).head(TOP_K)
-        for rank, (_, r) in enumerate(g.iterrows(), start=1):
-            out.append((int(q), rank, int(r["neighbor_id"])))
-    return pd.DataFrame(out, columns=["query_id", "rank", "neighbor_id"]).astype("int64")
+    # a pair scores once per table whose probe found it
+    return _topk_frame(partials.to_pandas(), dedup=True)
 
 
 # --- IVF (inverted-file) ANN: the centroid-partitioned scale path -------
@@ -440,6 +451,8 @@ def ann_ivf(sf_dir: str):
     import glob as _glob
 
     qm, qids = _query_matrix(sf_dir)
+    if not len(qids):
+        return _topk_frame()
     idx_dir, total_rows, cent = _ensure_ivf_index(sf_dir)
 
     qcells = np.argsort(-(qm @ cent.T), axis=1)[:, : ivf_nprobe(len(cent))]
@@ -481,13 +494,7 @@ def ann_ivf(sf_dir: str):
         f"({frac:.1%} of the corpus)"
     )
     partials = probed.map_batches(score, batch_format="pandas", batch_size=8192)
-    df = partials.to_pandas()
-    out = []
-    for q, g in df.groupby("query_id"):
-        g = g.sort_values(["cos", "neighbor_id"], ascending=[False, True]).head(TOP_K)
-        for rank, (_, r) in enumerate(g.iterrows(), start=1):
-            out.append((int(q), rank, int(r["neighbor_id"])))
-    return pd.DataFrame(out, columns=["query_id", "rank", "neighbor_id"]).astype("int64")
+    return _topk_frame(partials.to_pandas())
 
 
 def label_centroids(sf_dir: str):

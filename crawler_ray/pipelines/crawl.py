@@ -88,7 +88,7 @@ import ray.data as rd
 
 from ..fetchsim import FetchPolicy
 from ..sources.corpus import corpus_shards
-from ..state.seen import make_shards, seen_hosts
+from ..state.seen import guard_snapshot, make_shards, seen_hosts
 from ..stages.fetch import (
     DOCS_SCHEMA,
     FRONTIER_SCHEMA,
@@ -308,6 +308,7 @@ def crawl(
     (``webgen.ensure_web_sharded``); anything else raises ValueError
     before the run directory is touched."""
     t_entry = time.time()
+    cpu_entry = time.process_time()
     corpus_shards(cfg.corpus_path)  # raises on anything but a sharded corpus
     os.makedirs(cfg.run_dir, exist_ok=True)
     _check_run_config(cfg)
@@ -439,20 +440,14 @@ def crawl(
             max(1, frontier_rows // ROWS_PER_TASK),
         )
         task_shards = _fold(cfg.n_fetch_shards, n_groups)
-        # round-start guard snapshots: each seen actor publishes its
-        # sorted url-hash array to the object store. Actor-mailbox
-        # ordering puts these after the previous round's combined_round,
-        # so the arrays are exactly the state the fetch phase must see
-        # (the seen set is frozen until this round's combined). Passed to
-        # fetch tasks as refs-in-a-list: resolved lazily, per shard, by
-        # the first trap-guard query that needs one — no fetch task ever
-        # blocks on a seen actor again. The ref list itself ships as ONE
-        # ray.put object: serializing 32 refs into every task invocation
-        # measured ~1 ms/task of driver-serial submission time.
-        snap_pack = ray.put([s.snapshot_hashes.remote() for s in shards])
+        # round-start trap-guard snapshot: one sorted url-hash array of
+        # the seen set after the previous round's combined phase and this
+        # round's injections (host mailbox order). A top-level argument,
+        # so Ray resolves it zero-copy before each fetch task runs
+        guard_ref = guard_snapshot(hosts)
         fetch_rets = [
             _fetch_task.options(num_returns=2 + len(hosts)).remote(
-                grp, ctx_ref, rnd, frontier_path, csnap, snap_pack,
+                grp, ctx_ref, rnd, frontier_path, csnap, guard_ref,
             )
             for grp in task_shards
         ]
@@ -537,10 +532,7 @@ def crawl(
             "fetch_nodes": sorted({r.get("node", "") for r in stats1} - {""}),
             "fetch_phases": {
                 k: round(sum(r.get(k, 0.0) for r in stats1), 4)
-                for k in (
-                    "t_read", "t_proc", "t_docs", "t_meta", "t_guard",
-                    "n_guard", "t_cpu",
-                )
+                for k in ("t_read", "t_proc", "t_docs", "t_meta", "n_guard", "t_cpu")
             },
             "fetch_spans": [
                 (round(r["t0"], 3), round(r["t1"], 3)) for r in stats1
@@ -599,7 +591,9 @@ def crawl(
     )
     _write_status(cfg.run_dir, state, rnd - 1, frontier_rows, summary)
     # with no round run, all of the call was start-up
-    _write_run_manifest(cfg, summary, (t_first_round or time.time()) - t_entry)
+    _write_run_manifest(
+        cfg, summary, (t_first_round or time.time()) - t_entry, cpu_entry
+    )
     return summary
 
 
@@ -753,13 +747,15 @@ def _trim_round_docs(cfg: CrawlConfig, rnd: int, room: int) -> None:
 
 
 def _write_run_manifest(
-    cfg: CrawlConfig, summary: CrawlSummary, start_s: float
+    cfg: CrawlConfig, summary: CrawlSummary, start_s: float, cpu_entry: float
 ) -> None:
     m = {
         "rounds": summary.rounds,
         # crawl() entry to its first round's start: the seen hosts it
         # makes (a resume restores them before the call), seeding
         "start_s": round(start_s, 3),
+        # driver-process CPU (all threads, host 0's included) since entry
+        "driver_cpu_s": round(time.process_time() - cpu_entry, 3),
         "stored": summary.stored,
         "fetched": summary.fetched,
         "quota_reached": summary.quota_reached,

@@ -46,6 +46,11 @@ Data exchange, round-2 layout (re-planned after measuring round 1):
 - docs / order / logs: one partition file per task per round; seen
   deltas: one file per seen HOST per round, beside its frontier file
   (checkpoint lineage + the payload sink; see ``combined_round``).
+- trap-guard snapshot (seen -> fetch): ONE sorted url-hash array of the
+  seen set per round (state/seen.py ``guard_snapshot``), a top-level
+  task argument that Ray resolves zero-copy before the body runs: one
+  object per seen shard, reached through a nested ``ray.get``, cost more
+  driver, raylet and worker CPU per small round than its fetch bodies.
 
 The per-round fan-outs are plain ``@ray.remote`` tasks (one per shard)
 instead of Ray Data executions — the streaming-executor startup (~seconds
@@ -80,7 +85,7 @@ import ray
 
 from ..fetchsim import process_url
 from ..sources.corpus import open_corpus
-from ..state.seen import IN_PROGRESS
+from ..state.seen import IN_PROGRESS, in_snapshot
 from ..urlkit import get_domain, url_hash
 
 FRONTIER_SCHEMA = pa.schema(
@@ -306,7 +311,7 @@ def fetch_shard(
     round_idx: int,
     frontier_dir: str,
     cookies: tuple,
-    snap_refs,
+    guard: np.ndarray,
 ) -> dict:
     """Process one GROUP of fetch shards' frontier rows (raw Ray task
     body). ``shards_of_task`` is a run of consecutive shard ids (often
@@ -320,10 +325,9 @@ def fetch_shard(
     ``ctx`` is the crawl-constant context (spec, policy, corpus_path,
     shard counts, run_dir, flags) put to the object store ONCE per crawl
     and shared by every task of every round. ``cookies`` is the
-    round-start cookie snapshot (Crawl.hs:106). ``snap_refs`` is one
-    ray.put ObjectRef wrapping the list of per-seen-shard round-start
-    guard-snapshot refs (sorted url-hash arrays; see ``is_done`` below),
-    resolved only if the task's meta-refresh guards actually query it.
+    round-start cookie snapshot (Crawl.hs:106). ``guard`` is the
+    round-start trap-guard snapshot, the sorted hashes of every seen URL
+    (state/seen.py ``guard_snapshot``), resolved by Ray at dispatch.
 
     The task's frontier rows are read from the ``frontier_dir`` lineage
     files the previous round's combined calls (or seeding, injection or a
@@ -332,7 +336,8 @@ def fetch_shard(
     (``read_frontier_group``).
 
     Returns a (2 + P)-tuple for Ray multi-return: a stats dict
-    {shard, n_proc, n_docs, shared_cookies, phase timings}; one table of
+    {shard, n_proc, n_docs, shared_cookies, n_guard (the task's guard
+    lookups), phase timings}; one table of
     all the task's stored docs (metadata + fetched body, consumed by the
     ``write_docs_group`` call whose run of fetch tasks holds this one);
     then one META_SCHEMA record batch per seen host, rows routed by
@@ -379,38 +384,15 @@ def fetch_shard(
             )
         return (stats, docs_table(docs), *batches)
 
-    # meta-refresh trap-guard reads (checkNotDone, Crawl.hs:138): answered
-    # from the round-start seen SNAPSHOT — per-shard sorted url-hash
-    # arrays the seen actors published to the object store when the round
-    # began (state/seen.py snapshot_hashes). The seen set is frozen for
-    # the whole fetch phase (mutations only apply in the combined phase),
-    # so the snapshot is exact; reading it is a zero-copy plasma get the
-    # first time a task needs a shard, instead of a blocking actor
-    # round-trip that serialized every fetch task against the seen actors
-    # (measured ~12 core-s/large round, with multi-second whole-round
-    # stalls whenever deferred docs/delta work kept an actor's mailbox
-    # busy). ``snap_refs`` is ONE ray.put ref wrapping the per-shard
-    # snapshot refs (driver serializes the list once per round, not once
-    # per task).
-    snap_cache: list[np.ndarray] = []
-    guard_wait = [0.0, 0]  # accumulated blocking time, call count
+    # meta-refresh trap-guard reads (checkNotDone, Crawl.hs:138): one
+    # binary search in the round-start snapshot, exact because the seen
+    # set is frozen until the combined phase
+    n_guard = 0
 
     def is_done(url: str) -> bool:
-        h = url_hash(url)
-        if not snap_cache:
-            # first guard query: resolve ALL shard snapshots in one plasma
-            # get (they were published at round start and are long since
-            # ready — one batched get beats 32 sequential ~0.8 ms gets,
-            # measured ~6 core-s/large round). snap_refs arrives as the
-            # unwrapped list (Ray resolves the top-level pack ref at
-            # dispatch); the inner refs resolve here
-            _t0 = time.time()
-            snap_cache.extend(ray.get(list(snap_refs)))
-            guard_wait[0] += time.time() - _t0
-            guard_wait[1] += 1
-        arr = snap_cache[h % n_seen_shards]
-        j = int(np.searchsorted(arr, np.uint64(h)))
-        return j < len(arr) and int(arr[j]) == h
+        nonlocal n_guard
+        n_guard += 1
+        return in_snapshot(guard, url_hash(url))
 
     group = read_frontier_group(frontier_dir, shards_of_task)
     if group is None:
@@ -419,7 +401,7 @@ def fetch_shard(
                 "shard": shard, "n_proc": 0, "n_docs": 0,
                 "shared_cookies": [], "sec": time.time() - _t_task,
                 "t_read": 0.0, "t_proc": 0.0, "t_docs": 0.0, "t_meta": 0.0,
-                "t_guard": 0.0, "n_guard": 0, "t0": _t_task, "t1": time.time(),
+                "n_guard": 0, "t0": _t_task, "t1": time.time(),
             },
             [],
             [],
@@ -515,13 +497,9 @@ def fetch_shard(
                 }
             ),
         )
-    # t_docs = the order/logs LINEAGE parquet writes above (the
-    # docs payload itself is written by the overlapped write_docs_group
-    # task and reported as docs_phases); t_meta = building the docs +
-    # per-seen-host meta Arrow returns in _returns. Previously t_meta
-    # was hardcoded 0 and the _returns construction was attributed to no
-    # phase (review r5) — anyone reading fetch_phases optimized the
-    # wrong stage.
+    # t_docs = the order/logs parquet writes above (docs payloads are
+    # written by write_docs_group, reported as docs_phases); t_meta =
+    # building the docs + per-seen-host meta returns in _returns
     _t_docs = time.time() - _t_task - _t_read - _t_proc
     stats = {
         "shard": shard,
@@ -533,8 +511,7 @@ def fetch_shard(
         "t_proc": _t_proc,
         "t_docs": _t_docs,
         "t_meta": 0.0,  # patched below
-        "t_guard": guard_wait[0],
-        "n_guard": guard_wait[1],
+        "n_guard": n_guard,
         "t_cpu": _t_cpu,
         "t0": _t_task,
         "t1": 0.0,  # patched below

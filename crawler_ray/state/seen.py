@@ -29,9 +29,14 @@ actor-handle call surface; ``seen_hosts`` recovers the hosts from those
 handles.
 
 Round protocol (matches the oracle's mutation convention, oracle.py):
+- at round start ``guard_snapshot`` makes one ``snapshot_hashes`` call per
+  host (after its previous ``combined_round``, by mailbox order) and
+  publishes their union as ONE sorted url-hash array, a top-level
+  argument of every fetch task;
 - during a round's fetch phase the shards are READ-ONLY: the meta-refresh
-  trap guard reads the per-shard ``snapshot_hashes`` arrays published to
-  the object store at round start;
+  trap guard is one binary search in that array (``in_snapshot``); a
+  hash lives in one shard only (``uhash % n_seen_shards``), so the union
+  answers as that shard would;
 - at round end each host gets ONE ``combined_round`` call with
   every fetch task's meta batch for its shards; it sorts them once and,
   for each shard in id order, applies terminal mutations
@@ -188,17 +193,10 @@ class SeenShardLocal:
         self._delta = []
 
     def snapshot_hashes(self) -> np.ndarray:
-        """Sorted url-hash array of every currently-known URL — the
-        round-start read-only guard snapshot. Published to the object
-        store once per round; fetch tasks answer ``is_done`` with a
-        binary search on the plasma-shared array instead of a blocking
-        actor call (which serialized every fetch task against this
-        actor's mailbox at round start; measured ~12 core-s per large
-        round, with multi-second tail stalls when a round's deferred
-        docs/delta work kept the actor busy). Hash-keyed like the
-        filters: a 64-bit blake2b collision (odds ~n^2/2^64 per shard)
-        could flip one guard answer — the exact dict remains the
-        authority for every mutation path."""
+        """Sorted url-hash array of every currently-known URL, this
+        shard's part of the guard snapshot (``guard_snapshot``). Hash-keyed
+        like the filters: a 64-bit blake2b collision (odds ~n^2/2^64) could
+        flip one guard answer; the exact dict decides every mutation."""
         return np.sort(self._hashes())
 
     def counts(self) -> dict[str, int]:
@@ -243,6 +241,10 @@ class _HostBody:
 
     def call(self, shard_id: int, method: str, *args):
         return getattr(self.shards[shard_id], method)(*args)
+
+    def snapshot_hashes(self) -> np.ndarray:
+        """Sorted url hashes of every URL in any of this host's shards."""
+        return np.sort(np.concatenate([s._hashes() for s in self.shards.values()]))
 
     def combined_round(
         self,
@@ -336,6 +338,24 @@ def make_shards(num_shards: int, capacity_per_shard: int = 1 << 17) -> list[Seen
         for h in range(n_hosts)
     ]
     return [SeenShard(hosts[i % n_hosts], i) for i in range(num_shards)]
+
+
+def guard_snapshot(hosts: list) -> ray.ObjectRef:
+    """Ref to the round's trap-guard snapshot: ONE sorted url-hash array
+    of every shard. The actor hosts' calls go out first, so they run
+    while host 0's runs inline; P > 1 arrays merge in one sort and put."""
+    snaps = [h.snapshot_hashes.remote() for h in hosts[::-1]]
+    if len(snaps) == 1:
+        return snaps[0]
+    merged = np.concatenate(ray.get(snaps))
+    merged.sort()
+    return ray.put(merged)
+
+
+def in_snapshot(snapshot: np.ndarray, h: int) -> bool:
+    """Whether url hash ``h`` is in a sorted guard snapshot."""
+    j = int(np.searchsorted(snapshot, np.uint64(h)))
+    return j < len(snapshot) and int(snapshot[j]) == h
 
 
 def seen_hosts(shards: list[SeenShard]) -> list:

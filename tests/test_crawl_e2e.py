@@ -373,3 +373,15 @@ def test_checkpoint_artifacts_exist(ray_session, web, policy, tmp_path):
         assert os.path.exists(os.path.join(rdir, "MANIFEST.json"))
         assert glob.glob(os.path.join(rdir, "seen_delta", "*.parquet"))
     assert os.path.exists(str(tmp_path / "run" / "RUN_MANIFEST.json"))
+
+
+def test_run_manifest_reports_driver_cpu(ray_session, web, policy, tmp_path):
+    """RUN_MANIFEST.json carries the driver's CPU seconds from crawl()
+    entry to the manifest write."""
+    import json
+
+    spec, _ = web
+    _run_engine(web, policy, tmp_path / "run", [spec.url_of(0)], max_rounds=2)
+    with open(tmp_path / "run" / "RUN_MANIFEST.json") as f:
+        manifest = json.load(f)
+    assert manifest["driver_cpu_s"] >= 0

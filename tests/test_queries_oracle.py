@@ -165,6 +165,28 @@ def test_ivf_cell_scaling_rule():
         del os.environ["CRAWLER_RAY_IVF_CLUSTERS"]
 
 
+def test_ann_queries_on_zero_row_embeddings(ray_session, tmp_path):
+    """On a 0-row embeddings.parquet (LIMIT 0 of sf0.001) the query matrix
+    is typed and empty, and ann_topk / ann_lsh / ann_ivf return no rows
+    with the columns and dtypes of the non-empty path."""
+    import pyarrow.parquet as pq
+
+    from crawler_ray.ops.similarity import _query_matrix, ann_ivf, ann_lsh, ann_topk
+
+    duckdb.sql(
+        f"COPY (SELECT * FROM read_parquet('{SF_DIR}/embeddings.parquet') LIMIT 0) "
+        f"TO '{tmp_path}/embeddings.parquet' (FORMAT parquet)"
+    )
+    assert pq.read_metadata(tmp_path / "embeddings.parquet").num_rows == 0
+    qm, qids = _query_matrix(str(tmp_path))
+    assert (qm.shape, qm.dtype, qids.shape, qids.dtype) == ((0, 0), np.float64, (0,), np.int64)
+    want = ann_topk(SF_DIR).dtypes
+    for fn in (ann_topk, ann_lsh, ann_ivf):
+        out = fn(str(tmp_path))
+        assert len(out) == 0, fn.__name__
+        assert out.dtypes.equals(want), fn.__name__
+
+
 def test_ann_lsh_recall_vs_exact(ray_session):
     from crawler_ray.ops.similarity import RECALL_FLOOR
 

@@ -259,6 +259,51 @@ def test_make_shards_packs_shards_into_cpu_hosts(ray_session):
         actor_totals.remote(shards)
 
 
+@pytest.mark.parametrize("n_shards", [1, 3, 8])
+def test_guard_snapshot_is_the_union_of_shard_snapshots(ray_session, n_shards):
+    """The round's guard array (one ``snapshot_hashes`` call per host,
+    merged) equals the sorted union of every shard's snapshot after
+    inserts, terminal ops, deletes and re-inserts through the shard
+    handles, at 1, 3 and 4 hosts; membership holds for live URLs only."""
+    import ray
+
+    from crawler_ray.state.seen import (
+        FAILED, guard_snapshot, in_snapshot, make_shards, seen_hosts,
+    )
+
+    shards = make_shards(n_shards, 1 << 10)
+    hosts = seen_hosts(shards)
+    assert len(hosts) == min(n_shards, 4)
+    urls, hs = _urls_and_hashes(200)
+
+    def per_shard(method, ix, *op):
+        """One ``method`` call per shard with the rows of ``ix`` it owns."""
+        refs = []
+        for m, s in enumerate(shards):
+            rows = [i for i in ix if hs[i] % n_shards == m]
+            if not rows:
+                continue
+            args = ([urls[i] for i in rows], hs[rows], *([o] * len(rows) for o in op))
+            refs.append(getattr(s, method).remote(*args))
+        ray.get(refs)
+
+    per_shard("check_and_insert", range(150))
+    per_shard("apply_mutations", range(0, 60), COMPLETED)
+    per_shard("apply_mutations", range(60, 70), FAILED)
+    per_shard("apply_mutations", range(40, 100), 0)  # deletes
+    per_shard("check_and_insert", range(90, 100))  # re-inserts
+    live = [*range(40), *range(90, 150)]
+    gone = [*range(40, 90), *range(150, 200)]  # deleted, never seen
+
+    guard = ray.get(guard_snapshot(hosts))
+    union = np.concatenate(ray.get([s.snapshot_hashes.remote() for s in shards]))
+    assert guard.dtype == np.uint64
+    assert np.array_equal(guard, np.sort(union))
+    assert np.array_equal(guard, np.sort(hs[live]))
+    assert all(in_snapshot(guard, int(hs[i])) for i in live)
+    assert not any(in_snapshot(guard, int(hs[i])) for i in gone)
+
+
 def test_rebuild_shards_reads_per_shard_and_per_host_deltas(ray_session, tmp_path):
     """One run whose early rounds hold one delta file per seen shard and
     whose later rounds hold one per host of a 3-host layout, restored in
