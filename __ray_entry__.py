@@ -44,7 +44,7 @@ def _ensure_crawl_run(sf_dir: str) -> tuple[str, Any]:
     # generated web content change (v4: planted image near-dups)
     run_dir = os.path.join(_CACHE, f"crawlrun_v4_{n_pages}_{n_hosts}")
     if not os.path.exists(os.path.join(run_dir, "RUN_MANIFEST.json")):
-        _, corpus_path = ensure_web_sharded(n_pages, n_hosts, 32, seed=42)
+        _, corpus_path = ensure_web_sharded(n_pages, n_hosts, seed=42)
         cfg = CrawlConfig(
             spec=spec,
             corpus_path=corpus_path,

@@ -157,10 +157,6 @@ def run_bench() -> dict:
     # warm the page cache (untimed) so we measure compute+shuffle, not
     # first-touch disk reads — and so both scaling levels start equal
     def _warm(path):
-        if os.path.isdir(path):
-            for f in sorted(os.listdir(path)):
-                _warm(os.path.join(path, f))
-            return
         with open(path, "rb") as f:
             while f.read(1 << 24):
                 pass
@@ -218,7 +214,7 @@ def run_bench() -> dict:
         n_pages = int(os.environ["GRAFT_BENCH_PAGES"])
     n_hosts = max(100, n_pages // 25)
     N_FETCH_SHARDS = 256
-    spec, corpus_path = ensure_web_sharded(n_pages, n_hosts, N_FETCH_SHARDS, seed=42)
+    spec, corpus_path = ensure_web_sharded(n_pages, n_hosts, seed=42)
     _warm(corpus_path)
     run_dir = f"/tmp/bench_crawl_{n_pages}_{num_cpus}"
     shutil.rmtree(run_dir, ignore_errors=True)

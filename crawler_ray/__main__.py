@@ -101,9 +101,7 @@ def main(argv: list[str] | None = None) -> int:
         with open(args.directions_file) as fh:
             directions = tuple(parse_href_directions(fh.read()))
 
-    spec, corpus_path = ensure_web_sharded(
-        args.pages, args.hosts, args.fetch_shards, seed=args.seed
-    )
+    spec, corpus_path = ensure_web_sharded(args.pages, args.hosts, seed=args.seed)
     policy = FetchPolicy(
         include=IncludePatterns(
             url_patterns=frozenset(url_pats), domain_patterns=frozenset(dom_pats)

@@ -37,7 +37,7 @@ import pyarrow as pa
 import pyarrow.parquet as pq
 import ray
 
-from ..state.seen import make_shards
+from ..state.seen import SEEN_DELTA_SCHEMA, make_shards
 from .crawl import CrawlConfig, CrawlSummary, crawl
 
 
@@ -61,10 +61,10 @@ def rebuild_shards(cfg: CrawlConfig, upto_round: int):
         ddir = os.path.join(cfg.run_dir, f"round_{rnd:05d}", "seen_delta")
         refs = []
         for f in sorted(glob.glob(os.path.join(ddir, "shard-*.parquet"))):
-            t = pq.read_table(f, columns=["url", "status", "shard"])
+            t = pq.read_table(f, columns=SEEN_DELTA_SCHEMA.names)
             sid = t["shard"].to_numpy()
             for shard_id in np.unique(sid):
-                part = t.filter(pa.array(sid == shard_id)).select(["url", "status"])
+                part = t.filter(pa.array(sid == shard_id)).drop_columns(["shard"])
                 # one record batch: a pa.Table argument would make the seen
                 # host import pandas to deserialize it (state/seen.py SeenHost)
                 batch = part.combine_chunks().to_batches()[0]

@@ -87,7 +87,7 @@ import ray
 import ray.data as rd
 
 from ..fetchsim import FetchPolicy
-from ..sources.corpus import corpus_shards
+from ..sources.corpus import corpus_reader
 from ..state.seen import guard_snapshot, make_shards, seen_hosts
 from ..stages.fetch import (
     DOCS_SCHEMA,
@@ -120,7 +120,7 @@ MAX_DOCS_TASKS = 32
 @dataclass
 class CrawlConfig:
     spec: WebSpec
-    corpus_path: str  # sharded corpus directory (webgen.ensure_web_sharded)
+    corpus_path: str  # corpus file (webgen.ensure_web_sharded)
     seeds: list[str]
     policy: FetchPolicy
     run_dir: str
@@ -304,12 +304,12 @@ def crawl(
     cookies0: dict | None = None,
 ) -> CrawlSummary:
     """Run the BFS crawl; resumable via pipelines.checkpoint.resume_crawl.
-    ``cfg.corpus_path`` must be a sharded corpus directory
+    ``cfg.corpus_path`` must be a corpus file
     (``webgen.ensure_web_sharded``); anything else raises ValueError
     before the run directory is touched."""
     t_entry = time.time()
     cpu_entry = time.process_time()
-    corpus_shards(cfg.corpus_path)  # raises on anything but a sharded corpus
+    corpus_reader(cfg.corpus_path)  # raises on anything but a corpus file
     os.makedirs(cfg.run_dir, exist_ok=True)
     _check_run_config(cfg)
     summary = CrawlSummary(

@@ -39,10 +39,10 @@ Data exchange, round-2 layout (re-planned after measuring round 1):
 - docs tasks fold over fetch tasks: docs task ``j`` of D takes the docs
   returns of a consecutive run of the round's fetch tasks, the same
   fold that groups fetch shards into tasks, and D follows the round's
-  size (pipelines/crawl.py ``MAX_DOCS_TASKS``). A docs task's pages may
-  lie in any corpus shard: a take from the mmap'd Arrow IPC corpus is a
-  binary search over the shared page cache wherever the row lives
-  (sources/corpus.py), so the payload store's layout does not route docs.
+  size (pipelines/crawl.py ``MAX_DOCS_TASKS``). A docs task takes its
+  pages' payloads from the one mmap'd Arrow IPC corpus file, a binary
+  search over the shared page cache (sources/corpus.py), so nothing
+  routes docs by where a payload lives.
 - docs / order / logs: one partition file per task per round; seen
   deltas: one file per seen HOST per round, beside its frontier file
   (checkpoint lineage + the payload sink; see ``combined_round``).
@@ -130,6 +130,10 @@ ORDER_SCHEMA = pa.schema(
         ("detail", pa.string()),  # "<status>:<reason>"
     ]
 )
+
+# log files (round_*/logs/part-*.parquet): one row per href of a stored
+# page that did not derelativise to a URL, written only when a task has any
+LOGS_SCHEMA = pa.schema([("url", pa.string()), ("detail", pa.string())])
 
 # stored-doc files (round_*/docs/part-*.parquet); write_docs_group appends
 # an int8 ``payload_ok`` column when the run verifies payloads
@@ -490,11 +494,12 @@ def fetch_shard(
     if log_rows:
         _atomic_write(
             os.path.join(logs_dir, f"part-{shard:05d}.parquet"),
-            pa.table(
-                {
-                    "url": pa.array([r[0] for r in log_rows], pa.string()),
-                    "detail": pa.array([r[1] for r in log_rows], pa.string()),
-                }
+            pa.Table.from_arrays(
+                [
+                    pa.array([r[i] for r in log_rows], f.type)
+                    for i, f in enumerate(LOGS_SCHEMA)
+                ],
+                schema=LOGS_SCHEMA,
             ),
         )
     # t_docs = the order/logs parquet writes above (docs payloads are
@@ -542,9 +547,9 @@ def write_docs_group(
     has ended, so payload persistence overlaps the combined phase and the
     next round's fetch instead of sitting on the round barrier.
 
-    The take reads whichever corpus shards the group's pages landed in
-    (``sources.corpus``: a binary search per shard over the mmap'd,
-    shared page cache).
+    The take is one binary search over the mmap'd corpus file's key
+    column and one gather from the shared page cache
+    (``sources.corpus``).
 
     Shipping the body costs ~1 KB of object-store traffic per doc; the
     re-render it replaces (``render_page(page_id, caption_of(page_id))``,

@@ -67,6 +67,12 @@ import ray
 
 from .filters import BloomFilter, CuckooFilter
 
+# seen-delta files (round_*/seen_delta/shard-*.parquet): one row per
+# mutation since the last snapshot, tagged with its seen shard
+SEEN_DELTA_SCHEMA = pa.schema(
+    [("url", pa.string()), ("status", pa.int8()), ("shard", pa.int32())]
+)
+
 IN_PROGRESS = 1
 COMPLETED = 2
 FAILED = 3
@@ -162,12 +168,14 @@ class SeenShardLocal:
     def snapshot_delta(self) -> pa.Table:
         rows = self._delta
         self._delta = []
-        return pa.table(
-            {
-                "url": pa.array([u for u, _ in rows], pa.string()),
-                "status": pa.array([c for _, c in rows], pa.int8()),
-                "shard": pa.array([self.shard_id] * len(rows), pa.int32()),
-            }
+        url, status, shard = SEEN_DELTA_SCHEMA
+        return pa.Table.from_arrays(
+            [
+                pa.array([u for u, _ in rows], url.type),
+                pa.array([c for _, c in rows], status.type),
+                pa.array([self.shard_id] * len(rows), shard.type),
+            ],
+            schema=SEEN_DELTA_SCHEMA,
         )
 
     def restore(self, table: pa.Table | pa.RecordBatch) -> None:

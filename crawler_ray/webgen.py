@@ -26,6 +26,7 @@ import pyarrow as pa
 import pyarrow.parquet as pq
 
 from .codecs import encode_image, perceptual_hash
+from .sources.corpus import write_corpus
 
 _VOCAB = (
     "amber basalt cedar delta ember fjord garnet harbor iris juniper kelp "
@@ -65,20 +66,10 @@ def _h4(a, b, c, d) -> int:
 
 
 def host_name(h: int) -> str:
-    """The synthetic web's hostname template — the single source of truth
-    for the host string that corpus shard routing hashes (review r5:
-    previously re-inlined at four sites; a template change would have
-    silently desynchronized writer and readers)."""
+    """The synthetic web's hostname template, the single source of truth
+    for a host's string (review r5: previously re-inlined at four sites;
+    a template change would have silently desynchronized them)."""
     return f"host{h}.test"
-
-
-def shard_of_host(h: int, n_shards: int) -> int:
-    """Corpus shard for host index ``h`` — ``url_hash(host) % n_shards``,
-    shared by the corpus writer and its reader (``sources.corpus``); the
-    crawl itself never routes by it."""
-    from .urlkit import url_hash
-
-    return url_hash(host_name(h)) % n_shards
 
 
 @dataclass(frozen=True)
@@ -384,8 +375,8 @@ def ensure_web(
     """Build (or reuse cached) the flat corpus parquet, sorted by image_id.
 
     It is the ops layer's image dataset (``ops.multimodal.corpus_for_sf``)
-    and the input ``ensure_web_sharded`` partitions; the crawl reads
-    payloads only from the sharded directory.
+    and the input of ``ensure_web_sharded``; the crawl reads payloads only
+    from the corpus file that one builds.
     """
     spec = WebSpec(n_pages=n_pages, n_hosts=n_hosts, seed=seed)
     os.makedirs(cache_dir, exist_ok=True)
@@ -411,84 +402,20 @@ def ensure_web(
 def ensure_web_sharded(
     n_pages: int,
     n_hosts: int,
-    n_shards: int,
+    n_shards: int | None = None,
     seed: int = 42,
     cache_dir: str = "/tmp/crawler_ray_cache",
 ) -> tuple[WebSpec, str]:
-    """Corpus partitioned by the FETCH-SHARD key (url_hash(host) %
-    n_shards) — the same partitioning the crawl's fetch stage uses, so a
-    fetch task's payload lookups hit (mostly) its own partition file
-    instead of scattering reads across the whole corpus. One
-    partitioning key, reused across stages. Each partition is sorted by
-    image_id; ``meta.json`` makes the directory self-describing for
-    ``sources.corpus.open_corpus``, which serves each partition as a
-    memory-mapped Arrow IPC file."""
-    import json
+    """Build (or reuse cached) the crawl's corpus file: the flat corpus's
+    rows in ``image_id`` order plus an int64 ``page_id`` take key, as one
+    uncompressed Arrow IPC file (``sources.corpus.write_corpus``) that
+    ``sources.corpus.open_corpus`` serves through a memory map.
 
+    ``n_shards`` is unused: the corpus is not partitioned, and the
+    parameter stays only for callers that still pass a fetch-shard count
+    positionally."""
     spec, flat_path = ensure_web(n_pages, n_hosts, seed, cache_dir)
-    # per-shard rows are buffered and flushed in large chunks; the parquet
-    # partitions feed only the one-time Arrow IPC conversion
-    # (sources/corpus.py), so their 128-row groups are kept only so that
-    # cached corpora stay byte-identical
-    out_dir = os.path.join(
-        cache_dir, f"corpus_sharded_v4_{n_pages}_{n_hosts}_{seed}_{n_shards}"
-    )
-    meta_path = os.path.join(out_dir, "meta.json")
-    if os.path.exists(meta_path):
-        return spec, out_dir
-    # per-process tmp dir (see ensure_web note); the loser of a concurrent
-    # race sees out_dir already promoted and just removes its own tmp
-    tmp_dir = f"{out_dir}.tmp.{os.getpid()}"
-    os.makedirs(tmp_dir, exist_ok=True)
-    shard_route = {h: shard_of_host(h, n_shards) for h in range(n_hosts)}
-    writers: dict[int, pq.ParquetWriter] = {}
-    pending: dict[int, list[pa.Table]] = {}
-    pending_rows: dict[int, int] = {}
-
-    def _flush(s: int) -> None:
-        parts = pending.pop(s, None)
-        if not parts:
-            return
-        pending_rows[s] = 0
-        w = writers.get(s)
-        if w is None:
-            w = pq.ParquetWriter(
-                os.path.join(tmp_dir, f"shard_{s:05d}.parquet"), CORPUS_SCHEMA
-            )
-            writers[s] = w
-        w.write_table(pa.concat_tables(parts), row_group_size=128)
-
-    pf = pq.ParquetFile(flat_path)
-    for rg in range(pf.metadata.num_row_groups):
-        t = pf.read_row_group(rg)
-        ids = t["image_id"].to_pylist()
-        shards = [shard_route[spec.host_of(int(i[3:]))] for i in ids]
-        by_shard: dict[int, list[int]] = {}
-        for j, s in enumerate(shards):
-            by_shard.setdefault(s, []).append(j)
-        for s, idxs in by_shard.items():
-            pending.setdefault(s, []).append(t.take(pa.array(idxs, pa.int64())))
-            pending_rows[s] = pending_rows.get(s, 0) + len(idxs)
-            if pending_rows[s] >= 4096:
-                _flush(s)
-    for s in list(pending):
-        _flush(s)
-    for w in writers.values():
-        w.close()
-    with open(os.path.join(tmp_dir, "meta.json"), "w") as f:
-        json.dump(
-            {"n_pages": n_pages, "n_hosts": n_hosts, "seed": seed, "n_shards": n_shards},
-            f,
-        )
-    try:
-        os.replace(tmp_dir, out_dir)
-    except OSError:
-        # concurrent builder won the promote race: its output is
-        # deterministic-identical, keep it and discard ours
-        if os.path.exists(os.path.join(out_dir, "meta.json")):
-            import shutil
-
-            shutil.rmtree(tmp_dir, ignore_errors=True)
-        else:
-            raise
-    return spec, out_dir
+    path = os.path.join(cache_dir, f"corpus_mmap_v5_{n_pages}_{n_hosts}_{seed}.arrow")
+    if not os.path.exists(path):
+        write_corpus(flat_path, path)
+    return spec, path

@@ -23,16 +23,14 @@ from crawler_ray.webgen import WebSpec, ensure_web_sharded
 # fixture chosen so a session host (2) has BOTH a public form page (329,
 # seeded) and a link-reachable /private/ page -> the login's effect on the
 # crawl is directly observable
-N_PAGES, N_HOSTS, WEB_SEED, N_CORPUS_SHARDS = 500, 12, 1, 4
+N_PAGES, N_HOSTS, WEB_SEED = 500, 12, 1
 FORM_SEED_PAGE = 329
 
 
 @pytest.fixture(scope="module")
 def web(tmp_path_factory):
     cache = tmp_path_factory.mktemp("web")
-    return ensure_web_sharded(
-        N_PAGES, N_HOSTS, N_CORPUS_SHARDS, seed=WEB_SEED, cache_dir=str(cache)
-    )
+    return ensure_web_sharded(N_PAGES, N_HOSTS, seed=WEB_SEED, cache_dir=str(cache))
 
 
 def _login_policy(spec, with_instructions=True):

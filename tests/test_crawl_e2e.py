@@ -28,15 +28,13 @@ from crawler_ray.webgen import WebSpec, ensure_web_sharded
 
 import ray
 
-N_PAGES, N_HOSTS, N_CORPUS_SHARDS = 300, 12, 4
+N_PAGES, N_HOSTS = 300, 12
 
 
 @pytest.fixture(scope="module")
 def web(tmp_path_factory):
     cache = tmp_path_factory.mktemp("web")
-    spec, corpus_path = ensure_web_sharded(
-        N_PAGES, N_HOSTS, N_CORPUS_SHARDS, seed=42, cache_dir=str(cache)
-    )
+    spec, corpus_path = ensure_web_sharded(N_PAGES, N_HOSTS, seed=42, cache_dir=str(cache))
     return spec, corpus_path
 
 

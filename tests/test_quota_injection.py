@@ -15,15 +15,13 @@ from crawler_ray.pipelines.crawl import CrawlConfig, crawl, read_crawled, read_o
 from crawler_ray.urlkit import IncludePatterns
 from crawler_ray.webgen import ensure_web_sharded
 
-N_PAGES, N_HOSTS, N_CORPUS_SHARDS = 300, 12, 4
+N_PAGES, N_HOSTS = 300, 12
 
 
 @pytest.fixture(scope="module")
 def web(tmp_path_factory):
     cache = tmp_path_factory.mktemp("web")
-    return ensure_web_sharded(
-        N_PAGES, N_HOSTS, N_CORPUS_SHARDS, seed=42, cache_dir=str(cache)
-    )
+    return ensure_web_sharded(N_PAGES, N_HOSTS, seed=42, cache_dir=str(cache))
 
 
 @pytest.fixture(scope="module")

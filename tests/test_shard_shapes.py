@@ -1,7 +1,7 @@
 """Task-shape contracts: a crawl's outputs do not depend on how a round is
 cut into tasks.
 
-- A grid of fetch-shard, seen-shard and corpus-shard counts, with the
+- A grid of fetch-shard and seen-shard counts over one web, with the
   rows-per-task constant turned down so fetch and docs tasks both fold,
   must reproduce the single-threaded oracle: read order, the seen set
   replayed from ``seen_delta``, and the stored-doc keys. Each fetch
@@ -46,24 +46,14 @@ N_PAGES, N_HOSTS = 300, 12
 
 FETCH = (1, 3, 16)
 SEEN = (1, 3, 6, 8)
-# corpus shards: fewer than the web's 12 hosts, and more (some stay empty)
-CORPUS = (4, 40)
-# every (seen, fetch) pair; each corpus count meets every fetch and seen
-# count at least once in 12 crawls
-GRID = [
-    (FETCH[i_f], SEEN[i_s], CORPUS[(i_s + i_f) % 2])
-    for i_s in range(len(SEEN))
-    for i_f in range(len(FETCH))
-]
+# every (fetch, seen) pair: 12 crawls
+GRID = [(n_fetch, n_seen) for n_seen in SEEN for n_fetch in FETCH]
 
 
 @pytest.fixture(scope="module")
-def webs(tmp_path_factory):
+def web(tmp_path_factory):
     cache = str(tmp_path_factory.mktemp("web"))
-    return {
-        n: ensure_web_sharded(N_PAGES, N_HOSTS, n, seed=5, cache_dir=cache)
-        for n in CORPUS
-    }
+    return ensure_web_sharded(N_PAGES, N_HOSTS, seed=5, cache_dir=cache)
 
 
 @pytest.fixture(scope="module")
@@ -84,19 +74,18 @@ def _replay_seen(run_dir: str) -> dict[str, str]:
     return seen
 
 
-def test_shard_shapes_match_oracle(ray_session, webs, policy, tmp_path, monkeypatch):
+def test_shard_shapes_match_oracle(ray_session, web, policy, tmp_path, monkeypatch):
     # 4 rows per task: 300-page rounds fold fetch and docs tasks alike
     monkeypatch.setattr(crawl_mod, "ROWS_PER_TASK", 4)
-    spec = webs[CORPUS[0]][0]
+    spec, corpus = web
     seeds = [spec.url_of(i) for i in range(3)]
     golden = run_oracle(spec, policy, seeds)
     want_order = sorted(golden.order)
     want_docs = sorted(
         (d["url"], d["round"], d["host"], d["seq"]) for d in golden.crawled
     )
-    for n_fetch, n_seen, n_corpus in GRID:
-        shape = (n_fetch, n_seen, n_corpus)
-        spec, corpus = webs[n_corpus]
+    for shape in GRID:
+        n_fetch, n_seen = shape
         run_dir = str(tmp_path / "-".join(map(str, shape)))
         shards = make_shards(n_seen, 1 << 10)
         crawl(
@@ -255,8 +244,8 @@ def test_driver_host_leaves_pandas_importable(tmp_path):
     assert out.returncode == 0, out.stderr[-2000:]
 
 
-def test_read_crawled_empty_schema_matches(ray_session, webs, policy, tmp_path):
-    spec, corpus = webs[CORPUS[0]]
+def test_read_crawled_empty_schema_matches(ray_session, web, policy, tmp_path):
+    spec, corpus = web
     base = dict(spec=spec, corpus_path=corpus, policy=policy, limit=5)
     crawl(CrawlConfig(seeds=[spec.url_of(0)], run_dir=str(tmp_path / "a"), **base))
     # no seed passes the include gate: the run stores nothing

@@ -385,7 +385,7 @@ def test_resume_at_one_seen_shard_is_byte_identical(ray_session, tmp_path):
     from crawler_ray.urlkit import IncludePatterns
     from crawler_ray.webgen import ensure_web_sharded
 
-    spec, corpus = ensure_web_sharded(250, 10, 4, seed=7, cache_dir=str(tmp_path / "web"))
+    spec, corpus = ensure_web_sharded(250, 10, seed=7, cache_dir=str(tmp_path / "web"))
     policy = FetchPolicy(include=IncludePatterns(domain_patterns=frozenset([".test"])))
     seeds = [spec.url_of(i) for i in range(3)]
     base = dict(spec=spec, corpus_path=corpus, seeds=seeds, policy=policy, n_seen_shards=1)
@@ -445,7 +445,7 @@ def test_resume_equals_straight_through(ray_session, tmp_path):
     from crawler_ray.urlkit import IncludePatterns
     from crawler_ray.webgen import ensure_web_sharded
 
-    spec, corpus = ensure_web_sharded(250, 10, 4, seed=7, cache_dir=str(tmp_path / "web"))
+    spec, corpus = ensure_web_sharded(250, 10, seed=7, cache_dir=str(tmp_path / "web"))
     policy = FetchPolicy(include=IncludePatterns(domain_patterns=frozenset([".test"])))
     seeds = [spec.url_of(i) for i in range(3)]
 
@@ -484,7 +484,7 @@ def test_actor_death_recovers_byte_identical(ray_session, tmp_path):
     from crawler_ray.urlkit import IncludePatterns
     from crawler_ray.webgen import ensure_web_sharded
 
-    spec, corpus = ensure_web_sharded(250, 10, 4, seed=7, cache_dir=str(tmp_path / "web"))
+    spec, corpus = ensure_web_sharded(250, 10, seed=7, cache_dir=str(tmp_path / "web"))
     policy = FetchPolicy(include=IncludePatterns(domain_patterns=frozenset([".test"])))
     seeds = [spec.url_of(i) for i in range(3)]
     base = dict(spec=spec, corpus_path=corpus, seeds=seeds, policy=policy)
@@ -522,7 +522,7 @@ def test_resume_of_quota_completed_run_is_a_noop(ray_session, tmp_path):
     from crawler_ray.urlkit import IncludePatterns
     from crawler_ray.webgen import ensure_web_sharded
 
-    spec, corpus = ensure_web_sharded(250, 10, 4, seed=7, cache_dir=str(tmp_path / "web"))
+    spec, corpus = ensure_web_sharded(250, 10, seed=7, cache_dir=str(tmp_path / "web"))
     policy = FetchPolicy(include=IncludePatterns(domain_patterns=frozenset([".test"])))
     seeds = [spec.url_of(i) for i in range(3)]
     cfg = CrawlConfig(
@@ -553,7 +553,7 @@ def test_stale_stop_consumed_on_natural_exit(ray_session, tmp_path):
     from crawler_ray.urlkit import IncludePatterns
     from crawler_ray.webgen import ensure_web_sharded
 
-    spec, corpus = ensure_web_sharded(250, 10, 4, seed=7, cache_dir=str(tmp_path / "web"))
+    spec, corpus = ensure_web_sharded(250, 10, seed=7, cache_dir=str(tmp_path / "web"))
     policy = FetchPolicy(include=IncludePatterns(domain_patterns=frozenset([".test"])))
     cfg = CrawlConfig(
         run_dir=str(tmp_path / "s"), spec=spec, corpus_path=corpus,

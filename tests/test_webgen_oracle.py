@@ -163,7 +163,7 @@ def test_process_url_meta_trap_guard():
 
 
 def test_corpus_store_take(tmp_path):
-    spec, path = ensure_web_sharded(200, 8, 4, seed=43, cache_dir=str(tmp_path))
+    spec, path = ensure_web_sharded(200, 8, seed=43, cache_dir=str(tmp_path))
     store = open_corpus(path)
     pids = [5, 199, 0, 63]
     t = store.take_pages(pids)
